@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import DatabaseBuilder, ItemId, TransactionDatabase
+from .core import ItemId, TransactionDatabase, remap
 
 LOGNORMAL = "lognormal"
 EXPONENTIAL = "exponential"
@@ -117,8 +117,8 @@ def compute_bounds(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown distribution kind {kind!r}")
-    if s <= 0:
-        raise ValueError("band multiplier s must be > 0")
+    if not (s > 0 and math.isfinite(s)):
+        raise ValueError("band multiplier s must be finite and > 0")
     if sigma_hat < 0:
         raise ValueError("sigma_hat must be >= 0")
     lo = mu_hat - s * sigma_hat
@@ -165,13 +165,25 @@ class DistributionFit:
     def retains(self, frequency: float) -> bool:
         return self.classify(frequency) == 0
 
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
 
 @dataclass(frozen=True)
 class ManualBand:
-    """Explicit raw-space retention band, for overrides and golden cases."""
+    """Explicit raw-space retention band, for overrides and golden cases.
+
+    ``lower`` must be finite and at most ``upper``; ``upper`` may be inf.
+    """
 
     lower: float
     upper: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lower) and self.lower <= self.upper):
+            raise ValueError(
+                f"manual band needs a finite lower <= upper, got [{self.lower}, {self.upper}]"
+            )
 
     def classify(self, frequency: float) -> int:
         if frequency < self.lower:
@@ -182,6 +194,9 @@ class ManualBand:
 
     def retains(self, frequency: float) -> bool:
         return self.classify(frequency) == 0
+
+    def to_json_dict(self) -> dict:
+        return {"kind": "manual", **asdict(self)}
 
 
 Band = Union[DistributionFit, ManualBand]
@@ -242,7 +257,9 @@ class CleansingReport:
     Identities: items_removed_low + items_removed_high + items_retained
     equals the input item count, and transactions_removed_empty +
     transactions_retained equals the input transaction count. ``id_map``
-    records surviving items' old id -> new compacted id.
+    maps each retained item's old id to its new id, which is its rank among
+    the retained old ids; the map is order-preserving and onto
+    0..items_retained-1.
     """
 
     items_removed_low: int
@@ -254,26 +271,13 @@ class CleansingReport:
     id_map: dict[ItemId, ItemId] = field(repr=False, default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        fit = self.fit
-        if isinstance(fit, DistributionFit):
-            fit_json = {
-                "kind": fit.kind,
-                "mu_hat": fit.mu_hat,
-                "sigma_hat": fit.sigma_hat,
-                "s": fit.s,
-                "lower": fit.lower,
-                "upper": fit.upper,
-                "log_space": fit.log_space,
-            }
-        else:
-            fit_json = {"kind": "manual", "lower": fit.lower, "upper": fit.upper}
         return {
             "items_removed_low": self.items_removed_low,
             "items_removed_high": self.items_removed_high,
             "items_retained": self.items_retained,
             "transactions_removed_empty": self.transactions_removed_empty,
             "transactions_retained": self.transactions_retained,
-            "fit": fit_json,
+            "fit": self.fit.to_json_dict(),
         }
 
 
@@ -283,35 +287,26 @@ def cleanse(
 ) -> tuple[TransactionDatabase, CleansingReport]:
     """Remove out-of-band items everywhere, then prune emptied transactions.
 
-    Surviving transactions keep their relative order under fresh dense tids;
-    the dictionary is compacted to surviving items (relative id order
-    preserved) with the old->new mapping recorded on the report. Removing an
-    item never changes another item's frequency, so a second cleanse with the
-    same band is a no-op.
+    The result is an order-preserving id remap of ``db``: each retained item
+    gets as new id its rank among the retained old ids (``report.id_map``),
+    and its string is reused unchanged. Surviving transactions keep their
+    relative order and labels under fresh dense tids. Every transaction
+    holding a retained item survives, so when ``db``'s ids are in first-seen
+    order (as every parser assigns them) the cleansed ids are too, and the
+    result equals re-ingesting the kept items. Removing an item never
+    changes another item's frequency, so a second cleanse with the same band
+    is a no-op.
     """
     freq = item_frequencies(db).per_item
     verdict = {item: band.classify(f) for item, f in freq.items()}
-
-    builder = DatabaseBuilder()
-    removed_empty = 0
-    for t in db.transactions:
-        kept = [db.item_string(i) for i in t.items if verdict[i] == 0]
-        if kept:
-            builder.add(kept, label=t.label)
-        else:
-            removed_empty += 1
-    cleansed = builder.build()
-
-    id_map = {
-        old: new
-        for old, v in verdict.items()
-        if v == 0 and (new := cleansed.dictionary.id_of(db.item_string(old))) is not None
-    }
+    retained = sorted(item for item, v in verdict.items() if v == 0)
+    id_map = {old: new for new, old in enumerate(retained)}
+    cleansed = remap(db, id_map, db.transactions)
     report = CleansingReport(
         items_removed_low=sum(1 for v in verdict.values() if v < 0),
         items_removed_high=sum(1 for v in verdict.values() if v > 0),
-        items_retained=sum(1 for v in verdict.values() if v == 0),
-        transactions_removed_empty=removed_empty,
+        items_retained=len(retained),
+        transactions_removed_empty=db.n - cleansed.n,
         transactions_retained=cleansed.n,
         fit=band,
         id_map=id_map,

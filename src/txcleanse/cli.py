@@ -8,15 +8,15 @@ Exit codes: 0 success, 1 pipeline arm failure, 2 I/O or usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
-
-import jsonschema
 
 from . import clope, ingest, synth
 from .cleanse import (
@@ -67,16 +67,21 @@ class PipelineConfig:
             raise ParseError(f"unknown format {self.fmt!r}")
         if self.distribution not in KINDS:
             raise ParseError(f"unknown distribution {self.distribution!r}")
-        if self.s <= 0:
-            raise ParseError("s must be > 0")
-        if self.repulsion <= 0:
-            raise ParseError("repulsion must be > 0")
+        if not (self.s > 0 and math.isfinite(self.s)):
+            raise ParseError("s must be finite and > 0")
+        if not (self.repulsion > 0 and math.isfinite(self.repulsion)):
+            raise ParseError("repulsion must be finite and > 0")
         if self.max_passes < 1:
             raise ParseError("max-passes must be >= 1")
         if self.limit is not None and self.limit < 1:
             raise ParseError("limit must be >= 1")
         if (self.manual_lower is None) != (self.manual_upper is None):
             raise ParseError("manual band needs both --lower and --upper")
+        if self.manual_lower is not None:
+            try:
+                ManualBand(self.manual_lower, self.manual_upper)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,8 +239,21 @@ def load_report_schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _report_validator():
+    # jsonschema is imported on first use: only ``pipeline`` validates.
+    import jsonschema
+
+    schema = load_report_schema()
+    validator_class = jsonschema.validators.validator_for(schema)
+    validator_class.check_schema(schema)
+    return validator_class(schema)
+
+
 def validate_report(report: dict) -> None:
-    jsonschema.validate(report, load_report_schema())
+    """Raise jsonschema.ValidationError unless ``report`` fits the shipped
+    schema, which is loaded and checked once per process."""
+    _report_validator().validate(report)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +289,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     below = sum(1 for f in hist.per_item.values() if fit.classify(f) < 0)
     above = sum(1 for f in hist.per_item.values() if fit.classify(f) > 0)
     payload = {
-        "kind": fit.kind,
-        "mu_hat": fit.mu_hat,
-        "sigma_hat": fit.sigma_hat,
-        "s": fit.s,
-        "lower": fit.lower,
-        "upper": fit.upper,
-        "log_space": fit.log_space,
+        **fit.to_json_dict(),
         "items_below": below,
         "items_inside": db.m - below - above,
         "items_above": above,
@@ -407,6 +419,23 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 # parser
 
 
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _number(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -437,22 +466,25 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
 def _add_fit_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dist", choices=KINDS, default=LOGNORMAL,
                      help="distribution to fit (default: lognormal)")
-    sub.add_argument("--s", type=float, default=5.0,
-                     help="band half-width in standard deviations (default: 5.0)")
+    sub.add_argument("--s", type=_positive_float, default=5.0,
+                     help="band half-width in standard deviations, finite and > 0 "
+                          "(default: 5.0)")
     sub.add_argument("--raw-band", action="store_true",
                      help="apply the lognormal band to raw frequencies instead of log space")
 
 
 def _add_band_override(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--lower", type=float, default=None,
-                     help="manual band: lowest retained frequency (with --upper)")
-    sub.add_argument("--upper", type=float, default=None,
-                     help="manual band: highest retained frequency (with --lower)")
+    sub.add_argument("--lower", type=_number, default=None,
+                     help="manual band: lowest retained frequency, finite and "
+                          "<= --upper (with --upper)")
+    sub.add_argument("--upper", type=_number, default=None,
+                     help="manual band: highest retained frequency, may be inf "
+                          "(with --lower)")
 
 
 def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--repulsion", type=float, default=1.5,
-                     help="cluster tightness parameter r > 0 (default: 1.5)")
+    sub.add_argument("--repulsion", type=_positive_float, default=1.5,
+                     help="cluster tightness parameter r, finite and > 0 (default: 1.5)")
     sub.add_argument("--max-passes", type=_positive_int, default=20,
                      help="refinement pass cap (default: 20)")
 

@@ -31,6 +31,11 @@ from .core import ItemId, Transaction, TransactionDatabase
 PROFIT_RTOL = 1e-9
 
 
+def _check_repulsion(repulsion: float) -> None:
+    if not (repulsion > 0 and math.isfinite(repulsion)):
+        raise ValueError("repulsion must be finite and > 0")
+
+
 def _gain(occurrences: int, width: int, members: int, r: float) -> float:
     """Profit-numerator term S / W**r * N of one cluster (0 for an empty one).
 
@@ -131,8 +136,7 @@ def profit(summaries: Iterable[ClusterSummary], repulsion: float) -> float:
     Summation follows the given iteration order; callers wanting
     reproducible floats should pass clusters in a fixed order.
     """
-    if repulsion <= 0:
-        raise ValueError("repulsion must be > 0")
+    _check_repulsion(repulsion)
     numerator = 0.0
     total_members = 0
     for summary in summaries:
@@ -204,8 +208,7 @@ def clope_cluster(
     clusters are collected immediately. The reported profit sequence is
     non-decreasing.
     """
-    if repulsion <= 0:
-        raise ValueError("repulsion must be > 0")
+    _check_repulsion(repulsion)
     if max_passes < 1:
         raise ValueError("max_passes must be >= 1")
     if db.n == 0:
@@ -281,9 +284,10 @@ def clope_cluster(
         passes += 1
         moves_per_pass.append(moves)
         profits.append(_profit_of(clusters, db.n, repulsion))
-        assert profits[-1] >= profits[-2] - PROFIT_RTOL * max(1.0, abs(profits[-2])), (
-            f"profit decreased across pass {passes}: {profits[-2]} -> {profits[-1]}"
-        )
+        if profits[-1] < profits[-2] - PROFIT_RTOL * max(1.0, abs(profits[-2])):
+            raise RuntimeError(
+                f"profit decreased across pass {passes}: {profits[-2]} -> {profits[-1]}"
+            )
         if moves == 0:
             break
     seconds_refine = time.perf_counter() - started
@@ -317,8 +321,7 @@ def recompute_profit(
 ) -> float:
     """Naive from-scratch profit of an assignment, independent of the
     incremental machinery; the verification twin of clope_cluster's value."""
-    if repulsion <= 0:
-        raise ValueError("repulsion must be > 0")
+    _check_repulsion(repulsion)
     if len(assignment) != db.n or db.n == 0:
         raise ValueError("assignment must cover every transaction")
     groups: dict[int, list[Transaction]] = {}

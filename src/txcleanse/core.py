@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 ItemId = int
 
@@ -59,6 +59,10 @@ class ItemDictionary:
         name = normalize_item(raw)
         if not name:
             raise ValueError("item string is empty after normalization")
+        return self._intern_normalized(name)
+
+    def _intern_normalized(self, name: str) -> ItemId:
+        # ``name`` is already non-empty and normalized.
         existing = self._ids.get(name)
         if existing is not None:
             return existing
@@ -159,7 +163,8 @@ class DatabaseBuilder:
         names = [n for n in dict.fromkeys(normalize_item(r) for r in raw_items) if n]
         if not names:
             return False
-        ids = sorted(self._dictionary.intern(n) for n in names)
+        intern = self._dictionary._intern_normalized
+        ids = sorted(intern(n) for n in names)
         self._transactions.append(Transaction(len(self._transactions), tuple(ids), label))
         return True
 
@@ -173,3 +178,33 @@ def database_from_items(item_lists: Iterable[Iterable[str]]) -> TransactionDatab
     for items in item_lists:
         builder.add(items)
     return builder.build()
+
+
+def remap(
+    db: TransactionDatabase,
+    id_map: Mapping[ItemId, ItemId],
+    transactions: Iterable[Transaction],
+) -> TransactionDatabase:
+    """Database of ``transactions`` (drawn from ``db``) with every item id
+    rewritten through ``id_map``.
+
+    ``id_map`` must be order-preserving (old ids a < b map to new ids
+    a' < b') and onto 0..len(id_map)-1. The new dictionary holds the mapped
+    items' strings in new-id order, reusing ``db``'s normalized strings.
+    Items missing from ``id_map`` are dropped, transactions left empty are
+    dropped, and survivors keep their order and labels under fresh dense tids.
+    """
+    new_ids: list[ItemId | None] = [None] * db.m
+    names: list[str] = [""] * len(id_map)
+    for old, new in id_map.items():
+        new_ids[old] = new
+        names[new] = db.dictionary.lookup(old)
+    dictionary = ItemDictionary()
+    for name in names:
+        dictionary._intern_normalized(name)
+    kept: list[Transaction] = []
+    for t in transactions:
+        items = tuple([j for i in t.items if (j := new_ids[i]) is not None])
+        if items:
+            kept.append(Transaction(len(kept), items, t.label))
+    return TransactionDatabase(dictionary, tuple(kept))

@@ -22,13 +22,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .core import (
-    DatabaseBuilder,
-    ParseError,
-    Transaction,
-    TransactionDatabase,
-    normalize_item,
-)
+from .core import DatabaseBuilder, ParseError, TransactionDatabase, remap
 
 log = logging.getLogger(__name__)
 
@@ -202,15 +196,20 @@ def parse_keyword_registration(
 
 def truncate(db: TransactionDatabase, limit: int) -> TransactionDatabase:
     """First ``limit`` transactions as a fresh database with a compacted
-    dictionary (head-of-file truncation for scaling runs)."""
+    dictionary (head-of-file truncation for scaling runs).
+
+    Ids are assigned in first-seen order, so the head uses exactly the id
+    prefix 0..(largest id in the head). The result is the identity remap
+    onto that prefix: item ids, strings, transaction order and labels are
+    kept as they are.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit >= db.n:
         return db
-    builder = DatabaseBuilder()
-    for t in db.transactions[:limit]:
-        builder.add(db.item_strings(t), label=t.label)
-    return builder.build()
+    head = db.transactions[:limit]
+    top = max((t.items[-1] for t in head if t.items), default=-1)
+    return remap(db, {i: i for i in range(top + 1)}, head)
 
 
 __all__ = [

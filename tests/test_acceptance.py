@@ -226,6 +226,7 @@ def _random_case(rng: random.Random, n_tx: int, vocab: int):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_clope_suite():
     started = time.perf_counter()
     rng = random.Random(515151)
@@ -296,6 +297,7 @@ def _pipeline_metrics(spec: SyntheticSpec, out_dir, distribution: str, s: float)
     }
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_improvement_lognormal_s5(tmp_path):
     started = time.perf_counter()
     rows = []
@@ -343,6 +345,7 @@ def test_criterion_6_synthetic_improvement_lognormal_s5(tmp_path):
     assert not failures, f"directional assertions failed for seeds {failures}: {rows}"
 
 
+@pytest.mark.slow
 def test_criterion_6_companion_band_effective_regime(tmp_path):
     """Same three directional wins where the band can actually engage:
     exponential fit at s=0.5 (sigma_hat = mean by construction), ~9% of

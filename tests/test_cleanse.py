@@ -298,3 +298,24 @@ class TestLogLikelihood:
             for f, k in pairs
         )
         assert log_likelihood(pairs, "lognormal") == pytest.approx(direct)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+def test_non_positive_or_non_finite_s_rejected(s):
+    with pytest.raises(ValueError):
+        compute_bounds("exponential", 1.0, 1.0, s)
+    with pytest.raises(ValueError):
+        fit_distribution([(1, 2), (3, 1)], "lognormal", s)
+
+
+@pytest.mark.parametrize("lower, upper", [
+    (math.nan, 3.0), (1.0, math.nan), (50.0, 3.0), (math.inf, math.inf), (-math.inf, 3.0),
+])
+def test_manual_band_rejects_bad_endpoints(lower, upper):
+    with pytest.raises(ValueError):
+        ManualBand(lower, upper)
+
+
+def test_manual_band_allows_open_upper_end():
+    assert ManualBand(2, math.inf).retains(10**9)
+    assert ManualBand(3, 3).retains(3)

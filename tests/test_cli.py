@@ -230,3 +230,55 @@ def test_run_pipeline_with_in_memory_database(tmp_path):
     report = run_pipeline(config, db=db)
     assert report["arms"]["raw"]["k"] >= 1
     assert (tmp_path / "pipeline_report.json").exists()
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects through sys.exit
+        return exc.code
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("fit", ["--s", "0"]),
+    ("fit", ["--s", "-1"]),
+    ("fit", ["--s", "nan"]),
+    ("fit", ["--s", "inf"]),
+    ("fit", ["--s", "abc"]),
+    ("pipeline", ["--s", "nan"]),
+    ("cluster", ["--repulsion", "0"]),
+    ("cluster", ["--repulsion", "inf"]),
+    ("pipeline", ["--repulsion", "nan"]),
+    ("pipeline", ["--repulsion", "inf"]),
+    ("cleanse", ["--lower", "nan", "--upper", "3"]),
+    ("cleanse", ["--lower", "1", "--upper", "nan"]),
+    ("cleanse", ["--lower", "50", "--upper", "3"]),
+    ("cleanse", ["--lower", "inf", "--upper", "inf"]),
+    ("pipeline", ["--lower", "50", "--upper", "3"]),
+])
+def test_bad_parameter_is_usage_error(noise1_file, tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    assert _exit_code([command, str(noise1_file), *flags, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip()
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_config_validation_rejects_non_finite_values(tmp_path):
+    from txcleanse.core import ParseError
+
+    for fields in ({"s": float("nan")}, {"repulsion": float("inf")},
+                   {"manual_lower": 5.0, "manual_upper": 2.0}):
+        config = PipelineConfig(input_path="<memory>", out_dir=tmp_path, **fields)
+        with pytest.raises(ParseError):
+            config.validate()
+
+
+def test_fit_stdout_lists_band_then_counts(noise1_file, capsys):
+    assert main(["fit", str(noise1_file), "--dist", "exponential", "--s", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [
+        "kind", "mu_hat", "sigma_hat", "s", "lower", "upper", "log_space",
+        "items_below", "items_inside", "items_above", "advisory_log_likelihood",
+    ]

@@ -265,3 +265,14 @@ class TestBruteForce:
             result = clope_cluster(db, r)
             _, best = brute_force_best(db, r)
             assert result.profit <= best * (1 + 1e-9) + 1e-12
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_non_positive_or_non_finite_repulsion_rejected(r):
+    db = letters_db("ab", "bc")
+    with pytest.raises(ValueError, match="repulsion"):
+        clope_cluster(db, r)
+    with pytest.raises(ValueError, match="repulsion"):
+        profit([ClusterSummary.from_transactions(db.transactions)], r)
+    with pytest.raises(ValueError, match="repulsion"):
+        recompute_profit(db, [0, 0], r)
