@@ -7,12 +7,11 @@ emptied transactions, then cluster by iterative profit maximization.
 """
 
 from .cleanse import (
+    Band,
     CleansingReport,
-    DistributionFit,
     FrequencyHistogram,
     ManualBand,
     cleanse,
-    compute_bounds,
     fit_distribution,
     fit_exponential,
     fit_lognormal,
@@ -53,11 +52,11 @@ from .synth import SyntheticSpec, generate_synthetic
 __version__ = "0.1.0"
 
 __all__ = [
+    "Band",
     "CleansingReport",
     "ClusterSummary",
     "Clustering",
     "DatabaseBuilder",
-    "DistributionFit",
     "FrequencyHistogram",
     "ItemDictionary",
     "ItemId",
@@ -70,7 +69,6 @@ __all__ = [
     "brute_force_best",
     "cleanse",
     "clope_cluster",
-    "compute_bounds",
     "database_from_items",
     "delta_add",
     "fit_distribution",

@@ -13,26 +13,31 @@ Fitting conventions:
 * exponential: the rate estimate is 1/mean(frequency), so mu_hat and
   sigma_hat are both the plain mean frequency.
 
-The lognormal band is applied in log space (the fitted moments are moments
-of ln x, so comparing raw frequencies against them would be dimensionally
-inconsistent); a raw-space variant is available behind ``raw_band=True`` for
-sensitivity experiments. The exponential band is applied in raw space with
-the lower endpoint clamped at 0, which makes the low cut vacuous for s >= 1.
-Items exactly on a band endpoint are retained.
+A ``Band`` is the one retention-band value. It is built from fitted moments
+(``fit_distribution``, ``Band.from_fit``) or from explicit raw-space
+endpoints (``ManualBand``), and stores the endpoints of the space it
+compares in. The lognormal band compares ln(frequency) against
+mu_hat +/- s*sigma_hat (the fitted moments are moments of ln x, so comparing
+raw frequencies against them would be dimensionally inconsistent); a
+raw-space variant is available behind ``raw_band=True`` for sensitivity
+experiments. The exponential band compares raw frequencies, with the lower
+endpoint clamped at 0, which makes the low cut vacuous for s >= 1. Items
+exactly on a band endpoint are retained.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence, Union
 
 from .core import ItemId, TransactionDatabase, remap
 
 LOGNORMAL = "lognormal"
 EXPONENTIAL = "exponential"
 KINDS = (LOGNORMAL, EXPONENTIAL)
+MANUAL = "manual"
 
 # (frequency value, number of items with that frequency)
 MarginalPair = tuple[float, int]
@@ -101,94 +106,81 @@ def fit_exponential(hist: Marginal) -> tuple[float, float]:
     return mean, mean
 
 
-def compute_bounds(
-    kind: str,
-    mu_hat: float,
-    sigma_hat: float,
-    s: float,
-    raw_band: bool = False,
-) -> tuple[float, float]:
-    """Raw-space retention band endpoints for the fitted parameters.
-
-    lognormal (default): the band lives in log space, so the endpoints are
-    exp(mu_hat -/+ s*sigma_hat). With ``raw_band=True``, or for the
-    exponential kind, the band is mu_hat -/+ s*sigma_hat in raw space with a
-    negative lower endpoint clamped to 0.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    if not (s > 0 and math.isfinite(s)):
-        raise ValueError("band multiplier s must be finite and > 0")
-    if sigma_hat < 0:
-        raise ValueError("sigma_hat must be >= 0")
-    lo = mu_hat - s * sigma_hat
-    hi = mu_hat + s * sigma_hat
-    if kind == LOGNORMAL and not raw_band:
-        return math.exp(lo), math.exp(hi)
-    return max(0.0, lo), hi
-
-
 @dataclass(frozen=True)
-class DistributionFit:
-    """A fitted distribution and its derived retention band.
+class Band:
+    """A retention band: an item is kept iff its frequency lies inside it.
 
-    ``lower``/``upper`` are raw-space endpoints for reporting; classification
-    happens in log space when ``log_space`` is set, directly against
-    mu_hat +/- s*sigma_hat, so band checks agree bit-for-bit with the fitted
-    moments.
+    ``lo``/``hi`` are the endpoints in the space items are compared in,
+    ln(frequency) when ``log_space`` is set and the raw frequency otherwise;
+    they are worked out once, when the band is built. ``lower``/``upper``
+    report them in raw space. ``kind`` names the fitted distribution, whose
+    moments and multiplier the band keeps, or is ``"manual"`` for an
+    explicit band, which has none. Build bands with ``Band.from_fit``,
+    ``fit_distribution`` or ``ManualBand``.
     """
 
     kind: str
-    mu_hat: float
-    sigma_hat: float
-    s: float
-    lower: float
-    upper: float
-    log_space: bool
+    lo: float
+    hi: float
+    log_space: bool = False
+    mu_hat: float | None = None
+    sigma_hat: float | None = None
+    s: float | None = None
 
-    def classify(self, frequency: float) -> int:
-        """-1 below the band, 0 inside or on a boundary, +1 above."""
-        if self.log_space:
-            value = math.log(frequency)
-            lo = self.mu_hat - self.s * self.sigma_hat
-            hi = self.mu_hat + self.s * self.sigma_hat
-        else:
-            value = float(frequency)
-            lo = max(0.0, self.mu_hat - self.s * self.sigma_hat)
-            hi = self.mu_hat + self.s * self.sigma_hat
-        if value < lo:
-            return -1
-        if value > hi:
-            return 1
-        return 0
+    @classmethod
+    def from_fit(
+        cls,
+        kind: str,
+        mu_hat: float,
+        sigma_hat: float,
+        s: float,
+        raw_band: bool = False,
+    ) -> Band:
+        """The band mu_hat -/+ s*sigma_hat of fitted moments.
 
-    def retains(self, frequency: float) -> bool:
-        return self.classify(frequency) == 0
+        A lognormal band lives in log space unless ``raw_band`` is set. A
+        raw-space band (exponential, or lognormal with ``raw_band``) clamps a
+        negative lower endpoint to 0.
+        """
+        if kind not in KINDS:
+            raise ValueError(f"unknown distribution kind {kind!r}")
+        if not (s > 0 and math.isfinite(s)):
+            raise ValueError("band multiplier s must be finite and > 0")
+        if sigma_hat < 0:
+            raise ValueError("sigma_hat must be >= 0")
+        log_space = kind == LOGNORMAL and not raw_band
+        lo = mu_hat - s * sigma_hat
+        hi = mu_hat + s * sigma_hat
+        if not log_space:
+            lo = max(0.0, lo)
+        return cls(kind, lo, hi, log_space, mu_hat, sigma_hat, s)
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    @classmethod
+    def manual(cls, lower: float, upper: float) -> Band:
+        """Explicit raw-space band, for overrides and golden cases.
 
-
-@dataclass(frozen=True)
-class ManualBand:
-    """Explicit raw-space retention band, for overrides and golden cases.
-
-    ``lower`` must be finite and at most ``upper``; ``upper`` may be inf.
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and self.lower <= self.upper):
+        ``lower`` must be finite and at most ``upper``; ``upper`` may be inf.
+        """
+        if not (math.isfinite(lower) and lower <= upper):
             raise ValueError(
-                f"manual band needs a finite lower <= upper, got [{self.lower}, {self.upper}]"
+                f"manual band needs a finite lower <= upper, got [{lower}, {upper}]"
             )
+        return cls(MANUAL, lower, upper)
+
+    @property
+    def lower(self) -> float:
+        return math.exp(self.lo) if self.log_space else self.lo
+
+    @property
+    def upper(self) -> float:
+        return math.exp(self.hi) if self.log_space else self.hi
 
     def classify(self, frequency: float) -> int:
-        if frequency < self.lower:
+        """-1 below the band, 0 inside or on an endpoint, +1 above."""
+        value = math.log(frequency) if self.log_space else frequency
+        if value < self.lo:
             return -1
-        if frequency > self.upper:
+        if value > self.hi:
             return 1
         return 0
 
@@ -196,10 +188,20 @@ class ManualBand:
         return self.classify(frequency) == 0
 
     def to_json_dict(self) -> dict:
-        return {"kind": "manual", **asdict(self)}
+        if self.kind == MANUAL:
+            return {"kind": MANUAL, "lower": self.lower, "upper": self.upper}
+        return {
+            "kind": self.kind,
+            "mu_hat": self.mu_hat,
+            "sigma_hat": self.sigma_hat,
+            "s": self.s,
+            "lower": self.lower,
+            "upper": self.upper,
+            "log_space": self.log_space,
+        }
 
 
-Band = Union[DistributionFit, ManualBand]
+ManualBand = Band.manual
 
 
 def fit_distribution(
@@ -207,24 +209,15 @@ def fit_distribution(
     kind: str = LOGNORMAL,
     s: float = 5.0,
     raw_band: bool = False,
-) -> DistributionFit:
-    """Fit the requested distribution and attach its retention band."""
+) -> Band:
+    """Fit the requested distribution and return its retention band."""
     if kind == LOGNORMAL:
         mu, sigma = fit_lognormal(hist)
     elif kind == EXPONENTIAL:
         mu, sigma = fit_exponential(hist)
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
-    lower, upper = compute_bounds(kind, mu, sigma, s, raw_band=raw_band)
-    return DistributionFit(
-        kind=kind,
-        mu_hat=mu,
-        sigma_hat=sigma,
-        s=s,
-        lower=lower,
-        upper=upper,
-        log_space=(kind == LOGNORMAL and not raw_band),
-    )
+    return Band.from_fit(kind, mu, sigma, s, raw_band=raw_band)
 
 
 def log_likelihood(hist: Marginal, kind: str) -> float | None:
@@ -335,10 +328,9 @@ __all__ = [
     "item_frequencies",
     "fit_lognormal",
     "fit_exponential",
-    "compute_bounds",
-    "DistributionFit",
-    "ManualBand",
+    "MANUAL",
     "Band",
+    "ManualBand",
     "fit_distribution",
     "log_likelihood",
     "CleansingReport",

@@ -1,18 +1,20 @@
 """Command-line interface: ingest -> stats -> fit -> cleanse -> cluster,
 plus the two-arm cleansed-vs-raw pipeline harness and a synthetic generator.
 
-Exit codes: 0 success, 1 pipeline arm failure, 2 I/O or usage error,
-3 empty input.
+Exit codes: 0 success, 1 pipeline arm failure or a cleanse that kept no
+transaction, 2 I/O or usage error, 3 empty input.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -39,6 +41,8 @@ EXIT_ARM_FAILURE = 1
 EXIT_IO = 2
 EXIT_EMPTY = 3
 
+EMPTY_CLEANSE = "cleansing removed every transaction"
+
 
 class EmptyInputError(ValueError):
     pass
@@ -46,7 +50,11 @@ class EmptyInputError(ValueError):
 
 @dataclass
 class PipelineConfig:
-    """Knobs of one experiment run; mirrors the report's config stanza."""
+    """Knobs of one experiment run; mirrors the report's config stanza.
+
+    Every data subcommand reads its parameters through this class, and
+    ``validate`` is their one range check.
+    """
 
     input_path: str
     fmt: str = "generic"
@@ -63,8 +71,10 @@ class PipelineConfig:
     manual_upper: float | None = None
 
     def validate(self) -> None:
+        """Raise ParseError naming the first out-of-range parameter."""
         if self.fmt not in FORMATS:
             raise ParseError(f"unknown format {self.fmt!r}")
+        _check_delimiter(self.delimiter)
         if self.distribution not in KINDS:
             raise ParseError(f"unknown distribution {self.distribution!r}")
         if not (self.s > 0 and math.isfinite(self.s)):
@@ -100,6 +110,11 @@ class PipelineConfig:
         }
 
 
+def _check_delimiter(delimiter: str) -> None:
+    if not delimiter:
+        raise ParseError("delimiter must be non-empty")
+
+
 def load_database(path: str | Path, fmt: str, delimiter: str = "\t",
                   limit: int | None = None) -> TransactionDatabase:
     """Parse an input file into a database, honoring the head truncation."""
@@ -118,10 +133,10 @@ def load_database(path: str | Path, fmt: str, delimiter: str = "\t",
 
 
 def _band_from_config(db: TransactionDatabase, config: PipelineConfig):
-    if config.manual_lower is not None and config.manual_upper is not None:
-        return ManualBand(config.manual_lower, config.manual_upper)
-    hist = item_frequencies(db)
-    return fit_distribution(hist, config.distribution, config.s, raw_band=config.raw_band)
+    if config.manual_lower is None and config.manual_upper is None:
+        hist = item_frequencies(db)
+        return fit_distribution(hist, config.distribution, config.s, raw_band=config.raw_band)
+    return ManualBand(config.manual_lower, config.manual_upper)
 
 
 def _assignment_csv_lines(clustering: clope.Clustering):
@@ -161,9 +176,9 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
     ``cluster`` subcommand would. Assignment CSVs and the validated report
     are written into ``config.out_dir``. The report's time ratio compares
     cleanse+cluster seconds of the raw arm against the cleansed arm, leaving
-    file parsing out of the comparison.
+    file parsing out of the comparison. ``config`` must have passed
+    ``PipelineConfig.validate``.
     """
-    config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -187,7 +202,7 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
                 seconds["cleanse"] = time.perf_counter() - started
                 cleansing_json = report.to_json_dict()
                 if arm_db.n == 0:
-                    raise ValueError("cleansing removed every transaction")
+                    raise ValueError(EMPTY_CLEANSE)
             started = time.perf_counter()
             clustering = clope.clope_cluster(arm_db, config.repulsion, config.max_passes)
             seconds["cluster"] = time.perf_counter() - started
@@ -260,10 +275,10 @@ def validate_report(report: dict) -> None:
 # subcommand handlers
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    db = load_database(args.input, args.format, args.delimiter, args.limit)
+def cmd_stats(config: PipelineConfig, args: argparse.Namespace) -> int:
+    db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
     hist = item_frequencies(db)
-    out_dir = Path(args.out_dir)
+    out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     write_histogram_csv(hist, out_dir / "histogram.csv")
     freqs = sorted(hist.per_item.values())
@@ -279,20 +294,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    db = load_database(args.input, args.format, args.delimiter, args.limit)
+def cmd_fit(config: PipelineConfig, args: argparse.Namespace) -> int:
+    db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
     if db.m == 0:
         print("no items to fit", file=sys.stderr)
         return EXIT_EMPTY
     hist = item_frequencies(db)
-    fit = fit_distribution(hist, args.dist, args.s, raw_band=args.raw_band)
-    below = sum(1 for f in hist.per_item.values() if fit.classify(f) < 0)
-    above = sum(1 for f in hist.per_item.values() if fit.classify(f) > 0)
+    fit = fit_distribution(hist, config.distribution, config.s, raw_band=config.raw_band)
+    verdicts = Counter(fit.classify(f) for f in hist.per_item.values())
     payload = {
         **fit.to_json_dict(),
-        "items_below": below,
-        "items_inside": db.m - below - above,
-        "items_above": above,
+        "items_below": verdicts[-1],
+        "items_inside": verdicts[0],
+        "items_above": verdicts[1],
         "advisory_log_likelihood": {
             "lognormal": log_likelihood(hist, LOGNORMAL),
             "exponential": log_likelihood(hist, EXPONENTIAL),
@@ -302,17 +316,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_cleanse(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    db = load_database(args.input, args.format, args.delimiter, args.limit)
+def cmd_cleanse(config: PipelineConfig, args: argparse.Namespace) -> int:
+    db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
     if db.m == 0:
         print("no items to fit", file=sys.stderr)
         return EXIT_EMPTY
     band = _band_from_config(db, config)
     cleansed, report = cleanse_database(db, band)
-    out_dir = Path(args.out_dir)
+    if cleansed.n == 0:
+        print(EMPTY_CLEANSE, file=sys.stderr)
+        return EXIT_ARM_FAILURE
+    out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    ingest.write_transactions(cleansed, out_dir / "cleansed.tsv", args.delimiter)
+    ingest.write_transactions(cleansed, out_dir / "cleansed.tsv", config.delimiter)
     with open(out_dir / "cleanse_report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)
         fh.write("\n")
@@ -324,15 +340,15 @@ def cmd_cleanse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
+def cmd_cluster(config: PipelineConfig, args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    db = load_database(args.input, args.format, args.delimiter, args.limit)
+    db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
     seconds_ingest = time.perf_counter() - started
     if db.n == 0:
         print("no transactions to cluster", file=sys.stderr)
         return EXIT_EMPTY
-    clustering = clope.clope_cluster(db, args.repulsion, args.max_passes)
-    out_dir = Path(args.out_dir)
+    clustering = clope.clope_cluster(db, config.repulsion, config.max_passes)
+    out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     write_assignment_csv(clustering, out_dir / "assignment.csv")
     payload = {
@@ -357,8 +373,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_pipeline(config: PipelineConfig, args: argparse.Namespace) -> int:
     report = run_pipeline(config)
     ok = all(arm["status"] == "ok" for arm in report["arms"].values())
     for name, arm in report["arms"].items():
@@ -372,20 +387,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_ARM_FAILURE
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    spec = synth.SyntheticSpec(
-        transactions=args.transactions,
-        clusters=args.clusters,
-        items_per_cluster=args.items_per_cluster,
-        picks_per_transaction=args.picks,
-        noise_rate=args.noise_rate,
-        noise_items_per_hit=args.noise_items,
-        ubiquitous_items=args.ubiquitous,
-        ubiquity=args.ubiquity,
-        seed=args.seed if args.seed is not None else 0,
-    )
+def cmd_synth(spec: synth.SyntheticSpec, args: argparse.Namespace) -> int:
     db, labels = synth.generate_synthetic(spec)
-    out_dir = Path(args.out_dir)
+    out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_transactions(db, out_dir / "synthetic.tsv", args.delimiter)
     synth.write_labels_csv(labels, out_dir / "labels.csv")
@@ -395,78 +399,43 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig(
-        input_path=str(args.input),
-        fmt=args.format,
-        delimiter=args.delimiter,
-        distribution=args.dist,
-        s=args.s,
-        repulsion=getattr(args, "repulsion", 1.5),
-        max_passes=getattr(args, "max_passes", 20),
-        limit=args.limit,
-        seed=getattr(args, "seed", None),
-        out_dir=Path(args.out_dir),
-        raw_band=args.raw_band,
-        manual_lower=getattr(args, "lower", None),
-        manual_upper=getattr(args, "upper", None),
-    )
-    config.validate()
-    return config
+def _params_from_args(args: argparse.Namespace) -> PipelineConfig | synth.SyntheticSpec:
+    """The validated parameters of the parsed subcommand: a SyntheticSpec
+    for ``synth``, a PipelineConfig for every data subcommand. Option
+    destinations are named after the fields they fill."""
+    cls = synth.SyntheticSpec if args.command == "synth" else PipelineConfig
+    names = {f.name for f in dataclasses.fields(cls)}
+    params = cls(**{k: v for k, v in vars(args).items() if k in names})
+    params.validate()
+    if cls is synth.SyntheticSpec:
+        _check_delimiter(args.delimiter)
+    return params
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _number(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _number(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
 def _delimiter(text: str) -> str:
     # Allow the shell-friendly spellings of a tab.
-    if text in ("\\t", "TAB", "tab"):
-        return "\t"
-    if not text:
-        raise argparse.ArgumentTypeError("delimiter must be non-empty")
-    return text
+    return "\t" if text in ("\\t", "TAB", "tab") else text
 
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("input", help="input file path")
-    sub.add_argument("--format", choices=FORMATS, default="generic",
+    sub.add_argument("input_path", metavar="input", help="input file path")
+    sub.add_argument("--format", dest="fmt", choices=FORMATS, default="generic",
                      help="input layout (default: generic)")
     sub.add_argument("--delimiter", type=_delimiter, default="\t",
                      help="item delimiter for generic input (default: TAB)")
-    sub.add_argument("--limit", type=_positive_int, default=None,
-                     help="keep only the first N transactions")
-    sub.add_argument("--out-dir", default=".", help="directory for output files")
+    sub.add_argument("--limit", type=int, default=None,
+                     help="keep only the first N transactions, N >= 1")
+    sub.add_argument("--out-dir", type=Path, default=".", help="directory for output files")
 
 
 def _add_fit_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dist", choices=KINDS, default=LOGNORMAL,
+    sub.add_argument("--dist", dest="distribution", choices=KINDS, default=LOGNORMAL,
                      help="distribution to fit (default: lognormal)")
-    sub.add_argument("--s", type=_positive_float, default=5.0,
+    sub.add_argument("--s", type=float, default=5.0,
                      help="band half-width in standard deviations, finite and > 0 "
                           "(default: 5.0)")
     sub.add_argument("--raw-band", action="store_true",
@@ -474,19 +443,19 @@ def _add_fit_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_band_override(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--lower", type=_number, default=None,
+    sub.add_argument("--lower", dest="manual_lower", metavar="LOWER", type=float, default=None,
                      help="manual band: lowest retained frequency, finite and "
                           "<= --upper (with --upper)")
-    sub.add_argument("--upper", type=_number, default=None,
+    sub.add_argument("--upper", dest="manual_upper", metavar="UPPER", type=float, default=None,
                      help="manual band: highest retained frequency, may be inf "
                           "(with --lower)")
 
 
 def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--repulsion", type=_positive_float, default=1.5,
+    sub.add_argument("--repulsion", type=float, default=1.5,
                      help="cluster tightness parameter r, finite and > 0 (default: 1.5)")
-    sub.add_argument("--max-passes", type=_positive_int, default=20,
-                     help="refinement pass cap (default: 20)")
+    sub.add_argument("--max-passes", type=int, default=20,
+                     help="refinement pass cap, >= 1 (default: 20)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,22 +496,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_pipeline)
 
     sub = commands.add_parser("synth", help="generate a labeled synthetic database")
-    sub.add_argument("--transactions", type=_positive_int, default=5000)
-    sub.add_argument("--clusters", type=_positive_int, default=50)
-    sub.add_argument("--items-per-cluster", type=_positive_int, default=20)
-    sub.add_argument("--picks", type=_positive_int, default=10,
-                     help="core items sampled per transaction")
+    sub.add_argument("--transactions", type=int, default=5000)
+    sub.add_argument("--clusters", type=int, default=50)
+    sub.add_argument("--items-per-cluster", type=int, default=20)
+    sub.add_argument("--picks", dest="picks_per_transaction", metavar="PICKS", type=int,
+                     default=10, help="core items sampled per transaction")
     sub.add_argument("--noise-rate", type=float, default=0.3,
                      help="fraction of transactions receiving one-off junk items")
-    sub.add_argument("--noise-items", type=_positive_int, default=1,
-                     help="junk items injected per noisy transaction")
-    sub.add_argument("--ubiquitous", type=int, default=5,
-                     help="count of near-ubiquitous items")
+    sub.add_argument("--noise-items", dest="noise_items_per_hit", metavar="NOISE_ITEMS",
+                     type=int, default=1, help="junk items injected per noisy transaction")
+    sub.add_argument("--ubiquitous", dest="ubiquitous_items", metavar="UBIQUITOUS",
+                     type=int, default=5, help="count of near-ubiquitous items")
     sub.add_argument("--ubiquity", type=float, default=0.95,
                      help="probability each ubiquitous item joins a transaction")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--delimiter", type=_delimiter, default="\t")
-    sub.add_argument("--out-dir", default=".")
+    sub.add_argument("--out-dir", type=Path, default=".")
     sub.set_defaults(func=cmd_synth)
 
     return parser
@@ -552,7 +521,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        params = _params_from_args(args)
+    except ValueError as exc:  # ParseError included
+        parser.error(str(exc))
+    try:
+        return args.func(params, args)
     except EmptyInputError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_EMPTY

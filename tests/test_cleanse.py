@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import letters_db, random_db
 from txcleanse import (
+    Band,
     ManualBand,
     cleanse,
-    compute_bounds,
     database_from_items,
     fit_distribution,
     fit_exponential,
@@ -119,36 +119,45 @@ def test_fits_match_expanded_multiset(pairs):
 
 
 class TestComputeBounds:
+    """Raw-space endpoints of ``Band.from_fit``."""
+
     def test_zero_variance_lognormal_collapses(self):
-        lower, upper = compute_bounds("lognormal", math.log(4), 0.0, 5.0)
-        assert lower == pytest.approx(4.0)
-        assert upper == pytest.approx(4.0)
+        band = Band.from_fit("lognormal", math.log(4), 0.0, 5.0)
+        assert band.lower == pytest.approx(4.0)
+        assert band.upper == pytest.approx(4.0)
+        assert band.lo == band.hi == math.log(4)
 
     def test_exponential_clamps_negative_lower(self):
-        assert compute_bounds("exponential", 3.2, 3.2, 1.0) == (0.0, 6.4)
+        band = Band.from_fit("exponential", 3.2, 3.2, 1.0)
+        assert (band.lower, band.upper) == (0.0, 6.4)
+        assert (band.lo, band.hi) == (0.0, 6.4)
 
     def test_lognormal_band_is_exp_of_log_bounds(self):
         mu, sigma = 5 / 3, math.sqrt(8 / 9)
-        lower, upper = compute_bounds("lognormal", mu, sigma, 1.0)
-        assert lower == pytest.approx(math.exp(mu - sigma))
-        assert upper == pytest.approx(math.exp(mu + sigma))
+        band = Band.from_fit("lognormal", mu, sigma, 1.0)
+        assert band.log_space
+        assert (band.lo, band.hi) == (mu - sigma, mu + sigma)
+        assert band.lower == pytest.approx(math.exp(mu - sigma))
+        assert band.upper == pytest.approx(math.exp(mu + sigma))
 
     def test_raw_band_flag(self):
-        lower, upper = compute_bounds("lognormal", 10.0, 1.0, 2.0, raw_band=True)
-        assert (lower, upper) == (8.0, 12.0)
-        lower, _ = compute_bounds("lognormal", 1.0, 1.0, 2.0, raw_band=True)
-        assert lower == 0.0
+        band = Band.from_fit("lognormal", 10.0, 1.0, 2.0, raw_band=True)
+        assert not band.log_space
+        assert (band.lower, band.upper) == (8.0, 12.0)
+        assert Band.from_fit("lognormal", 1.0, 1.0, 2.0, raw_band=True).lower == 0.0
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
-            compute_bounds("lognormal", 1.0, 1.0, 0.0)
+            Band.from_fit("lognormal", 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            compute_bounds("lognormal", 1.0, -0.5, 1.0)
+            Band.from_fit("lognormal", 1.0, -0.5, 1.0)
         with pytest.raises(ValueError):
-            compute_bounds("weibull", 1.0, 1.0, 1.0)
+            Band.from_fit("weibull", 1.0, 1.0, 1.0)
 
 
 class TestDistributionFitClassify:
+    """``Band.classify`` on fitted and manual bands."""
+
     def test_log_space_banding(self):
         fit = fit_distribution([(E, 2), (E**3, 1)], "lognormal", 1.0)
         assert fit.retains(E)
@@ -303,7 +312,7 @@ class TestLogLikelihood:
 @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
 def test_non_positive_or_non_finite_s_rejected(s):
     with pytest.raises(ValueError):
-        compute_bounds("exponential", 1.0, 1.0, s)
+        Band.from_fit("exponential", 1.0, 1.0, s)
     with pytest.raises(ValueError):
         fit_distribution([(1, 2), (3, 1)], "lognormal", s)
 
@@ -319,3 +328,26 @@ def test_manual_band_rejects_bad_endpoints(lower, upper):
 def test_manual_band_allows_open_upper_end():
     assert ManualBand(2, math.inf).retains(10**9)
     assert ManualBand(3, 3).retains(3)
+
+
+def test_manual_band_reports_endpoints_as_passed():
+    band = ManualBand(2, math.inf)
+    assert (band.lower, band.upper) == (2, math.inf)
+    assert not band.log_space
+    assert band.to_json_dict() == {"kind": "manual", "lower": 2, "upper": math.inf}
+
+
+@pytest.mark.parametrize("kind, raw_band", [
+    ("lognormal", False), ("lognormal", True), ("exponential", False),
+])
+def test_fitted_band_json_keys_and_endpoints(kind, raw_band):
+    band = fit_distribution([(1, 3), (4, 2), (9, 1)], kind, 0.5, raw_band=raw_band)
+    payload = band.to_json_dict()
+    assert list(payload) == [
+        "kind", "mu_hat", "sigma_hat", "s", "lower", "upper", "log_space",
+    ]
+    assert payload["log_space"] == (kind == "lognormal" and not raw_band)
+    if band.log_space:
+        assert (payload["lower"], payload["upper"]) == (math.exp(band.lo), math.exp(band.hi))
+    else:
+        assert (payload["lower"], payload["upper"]) == (band.lo, band.hi)

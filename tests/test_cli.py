@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import pytest
@@ -102,12 +103,20 @@ class TestCleanseCommand:
         report = json.loads((out / "cleanse_report.json").read_text())
         assert report["items_removed_low"] == 11
         assert report["items_retained"] == 4
-        assert report["fit"]["kind"] == "manual"
+        assert report["fit"] == {"kind": "manual", "lower": 2.0, "upper": math.inf}
 
     def test_half_manual_band_rejected(self, noise1_file, tmp_path):
-        code = main(["cleanse", str(noise1_file), "--lower", "2",
-                     "--out-dir", str(tmp_path)])
+        code = _exit_code(["cleanse", str(noise1_file), "--lower", "2",
+                           "--out-dir", str(tmp_path)])
         assert code == 2
+
+    def test_band_keeping_no_item_fails(self, noise1_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["cleanse", str(noise1_file), "--lower", "10", "--upper", "20",
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert "cleansing removed every transaction" in capsys.readouterr().err
+        assert not (out / "cleansed.tsv").exists()
 
 
 class TestClusterCommand:
@@ -255,10 +264,34 @@ def _exit_code(argv):
     ("cleanse", ["--lower", "50", "--upper", "3"]),
     ("cleanse", ["--lower", "inf", "--upper", "inf"]),
     ("pipeline", ["--lower", "50", "--upper", "3"]),
+    ("stats", ["--limit", "0"]),
+    ("fit", ["--limit", "0"]),
+    ("cluster", ["--max-passes", "0"]),
+    ("cleanse", ["--lower", "1"]),
+    ("pipeline", ["--delimiter", ""]),
 ])
 def test_bad_parameter_is_usage_error(noise1_file, tmp_path, capsys, command, flags):
     out = tmp_path / "out"
     assert _exit_code([command, str(noise1_file), *flags, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip()
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--clusters", "10", "--transactions", "5"],
+    ["--noise-rate", "2"],
+    ["--ubiquity", "nan"],
+    ["--picks", "30"],
+    ["--transactions", "0"],
+    ["--noise-items", "0"],
+    ["--ubiquitous", "-1"],
+    ["--delimiter", ""],
+])
+def test_bad_synth_parameter_is_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert _exit_code(["synth", *flags, "--out-dir", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.strip()
     assert "Traceback" not in captured.err
@@ -275,8 +308,11 @@ def test_config_validation_rejects_non_finite_values(tmp_path):
             config.validate()
 
 
-def test_fit_stdout_lists_band_then_counts(noise1_file, capsys):
-    assert main(["fit", str(noise1_file), "--dist", "exponential", "--s", "1"]) == 0
+@pytest.mark.parametrize("flags", [
+    ["--dist", "lognormal"], ["--dist", "lognormal", "--raw-band"], ["--dist", "exponential"],
+], ids=["lognormal", "raw-band", "exponential"])
+def test_fit_stdout_lists_band_then_counts(noise1_file, capsys, flags):
+    assert main(["fit", str(noise1_file), *flags, "--s", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == [
         "kind", "mu_hat", "sigma_hat", "s", "lower", "upper", "log_space",
