@@ -161,6 +161,9 @@ class Band:
 
         ``lower`` must be finite and at most ``upper``; ``upper`` may be inf.
         """
+        for name, value in (("lower", lower), ("upper", upper)):
+            if value is None:
+                raise ValueError(f"manual band is missing its {name} endpoint")
         if not (math.isfinite(lower) and lower <= upper):
             raise ValueError(
                 f"manual band needs a finite lower <= upper, got [{lower}, {upper}]"

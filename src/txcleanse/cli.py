@@ -151,23 +151,6 @@ def write_assignment_csv(clustering: clope.Clustering, path: Path) -> None:
             fh.write(line + "\n")
 
 
-def _failed_arm(seconds: dict, error: str) -> dict:
-    return {
-        "status": "failed",
-        "error": error,
-        "k": None,
-        "profit": None,
-        "passes": None,
-        "profit_per_pass": None,
-        "hit_max_passes": None,
-        "n_transactions": None,
-        "n_items": None,
-        "assignment_csv": None,
-        "seconds": seconds,
-        "cleansing": None,
-    }
-
-
 def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) -> dict:
     """Run both arms on the same input and emit the comparison report.
 
@@ -179,19 +162,24 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
     file parsing out of the comparison. ``config`` must have passed
     ``PipelineConfig.validate``.
     """
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     started = time.perf_counter()
     if db is None:
         db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
     seconds_ingest = time.perf_counter() - started
     if db.m == 0:
         raise EmptyInputError("input contains no items")
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     arms: dict[str, dict] = {}
     for arm_name in ("cleansed", "raw"):
         seconds = {"ingest": seconds_ingest, "cleanse": 0.0, "cluster": 0.0}
+        # A failed arm keeps these defaults; a finished one fills them in.
+        arm = arms[arm_name] = {
+            "status": "failed", "error": None, "k": None, "profit": None, "passes": None,
+            "profit_per_pass": None, "hit_max_passes": None, "n_transactions": None,
+            "n_items": None, "assignment_csv": None, "seconds": seconds, "cleansing": None,
+        }
         cleansing_json = None
         try:
             arm_db = db
@@ -208,22 +196,12 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
             seconds["cluster"] = time.perf_counter() - started
             csv_name = f"assignment_{arm_name}.csv"
             write_assignment_csv(clustering, out_dir / csv_name)
-            arms[arm_name] = {
-                "status": "ok",
-                "error": None,
-                "k": clustering.k,
-                "profit": clustering.profit,
-                "passes": clustering.passes,
-                "profit_per_pass": clustering.profit_per_pass,
-                "hit_max_passes": clustering.hit_max_passes,
-                "n_transactions": arm_db.n,
-                "n_items": arm_db.m,
-                "assignment_csv": csv_name,
-                "seconds": seconds,
-                "cleansing": cleansing_json,
-            }
+            arm.update(status="ok", k=clustering.k, profit=clustering.profit,
+                       passes=clustering.passes, profit_per_pass=clustering.profit_per_pass,
+                       hit_max_passes=clustering.hit_max_passes, n_transactions=arm_db.n,
+                       n_items=arm_db.m, assignment_csv=csv_name, cleansing=cleansing_json)
         except Exception as exc:  # either arm failing is itself a result
-            arms[arm_name] = _failed_arm(seconds, f"{type(exc).__name__}: {exc}")
+            arm["error"] = f"{type(exc).__name__}: {exc}"
 
     profit_ratio = None
     time_ratio = None

@@ -7,19 +7,21 @@ clustering's profit is
     profit = sum_i( S_i / W_i**r * N_i ) / sum_i( N_i )
 
 where the repulsion r > 0 penalizes wide clusters; larger r favors more,
-tighter clusters. Clustering proceeds in an add phase (each transaction, in
-tid order, joins the cluster maximizing the profit-numerator delta, or
-starts a fresh one) followed by refinement passes that move transactions
-while any strictly profitable move exists.
-
-All scans and tie-breaks are fixed (ascending tid, ascending cluster id,
-existing cluster preferred over a fresh one), so identical inputs yield
-identical clusterings. Per-pass work is O(n * k * |T|): every move evaluates
-exact incremental deltas, never a full recomputation.
+tighter clusters. Clustering proceeds in an add phase followed by refinement
+passes that take each transaction out of its cluster and place it again,
+until a pass moves nothing. Both phases place a transaction, in tid order, by
+one rule (``_best_home``): its home (the cluster it just left, if any) is the
+baseline and wins ties; other clusters, scanned in ascending id, take over
+only on a strictly greater profit-numerator delta; a fresh cluster wins only
+if strictly better than all of them. An emptied home stays in the scan, so a
+singleton keeps its id and is not moved. Identical inputs thus yield
+identical clusterings. Per-pass work is O(n * k * |T|): every placement
+evaluates exact incremental deltas, never a full recomputation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -187,13 +189,36 @@ class Clustering:
         return [tid for tid, cid in enumerate(self.assignment) if cid == cluster_id]
 
 
-def _profit_of(clusters: dict[int, ClusterSummary], n: int, repulsion: float) -> float:
-    return sum(clusters[cid].gain(repulsion) for cid in sorted(clusters)) / n
+def _profit_of(clusters: dict[int, ClusterSummary], repulsion: float) -> float:
+    return profit([clusters[cid] for cid in sorted(clusters)], repulsion)
 
 
-def _new_cluster_delta(t: Transaction, repulsion: float) -> float:
+def _best_home(
+    clusters: dict[int, ClusterSummary],
+    t: Transaction,
+    repulsion: float,
+    home: int | None = None,
+) -> int | None:
+    """The id of the cluster ``t`` should join, or None for a fresh one.
+
+    ``home``, the cluster ``t`` was just removed from, is the baseline and
+    wins ties; the other clusters are scanned in ascending id and take over
+    only on a strictly greater delta; a fresh cluster must beat them all.
+    """
+    others = sorted(clusters)
+    if home is None:
+        best_cid, best_delta = None, -math.inf
+    else:
+        others.remove(home)
+        best_cid, best_delta = home, delta_add(clusters[home], t, repulsion)
+    for cid in others:
+        d = delta_add(clusters[cid], t, repulsion)
+        if d > best_delta:
+            best_delta, best_cid = d, cid
     size = len(t.items)
-    return _gain(size, size, 1, repulsion)
+    if _gain(size, size, 1, repulsion) > best_delta:
+        return None
+    return best_cid
 
 
 def clope_cluster(
@@ -220,73 +245,42 @@ def clope_cluster(
     transactions = db.transactions
     clusters: dict[int, ClusterSummary] = {}
     assignment = [0] * db.n
-    next_id = 0
+    fresh_ids = itertools.count()
 
     started = time.perf_counter()
     for t in transactions:
-        best_delta = -math.inf
-        best_cid = -1
-        for cid in sorted(clusters):
-            d = delta_add(clusters[cid], t, repulsion)
-            if d > best_delta:
-                best_delta, best_cid = d, cid
-        if _new_cluster_delta(t, repulsion) > best_delta:
-            best_cid = next_id
-            next_id += 1
-            clusters[best_cid] = ClusterSummary()
-        clusters[best_cid].add(t)
-        assignment[t.tid] = best_cid
+        cid = _best_home(clusters, t, repulsion)
+        if cid is None:
+            cid = next(fresh_ids)
+            clusters[cid] = ClusterSummary()
+        clusters[cid].add(t)
+        assignment[t.tid] = cid
     seconds_add = time.perf_counter() - started
 
-    profits = [_profit_of(clusters, db.n, repulsion)]
+    profits = [_profit_of(clusters, repulsion)]
     moves_per_pass: list[int] = []
 
     started = time.perf_counter()
-    passes = 0
-    hit_cap = False
-    while True:
-        if passes == max_passes:
-            hit_cap = moves_per_pass[-1] > 0 if moves_per_pass else False
-            break
+    for _ in range(max_passes):
         moves = 0
         for t in transactions:
-            old_cid = assignment[t.tid]
-            old_summary = clusters[old_cid]
-            old_summary.remove(t)
-            emptied = old_summary.members == 0
-            if emptied:
-                del clusters[old_cid]
-                # Putting the transaction back on its own is the baseline.
-                best_delta = _new_cluster_delta(t, repulsion)
-                best_cid = -1
-            else:
-                best_delta = delta_add(old_summary, t, repulsion)
-                best_cid = old_cid
-            for cid in sorted(clusters):
-                if cid == best_cid:
-                    continue
-                d = delta_add(clusters[cid], t, repulsion)
-                if d > best_delta:
-                    best_delta, best_cid = d, cid
-            if not emptied and _new_cluster_delta(t, repulsion) > best_delta:
-                best_cid = -1
-            if best_cid == -1:
-                if emptied:
-                    best_cid = old_cid  # restore in place, not a move
-                else:
-                    best_cid = next_id
-                    next_id += 1
-                clusters[best_cid] = ClusterSummary()
-            if best_cid != old_cid:
+            home = assignment[t.tid]
+            clusters[home].remove(t)
+            cid = _best_home(clusters, t, repulsion, home)
+            if cid is None:
+                cid = next(fresh_ids)
+                clusters[cid] = ClusterSummary()
+            if cid != home:
                 moves += 1
-            clusters[best_cid].add(t)
-            assignment[t.tid] = best_cid
-        passes += 1
+                if clusters[home].members == 0:
+                    del clusters[home]
+            clusters[cid].add(t)
+            assignment[t.tid] = cid
         moves_per_pass.append(moves)
-        profits.append(_profit_of(clusters, db.n, repulsion))
+        profits.append(_profit_of(clusters, repulsion))
         if profits[-1] < profits[-2] - PROFIT_RTOL * max(1.0, abs(profits[-2])):
             raise RuntimeError(
-                f"profit decreased across pass {passes}: {profits[-2]} -> {profits[-1]}"
+                f"profit decreased across pass {len(moves_per_pass)}: {profits[-2]} -> {profits[-1]}"
             )
         if moves == 0:
             break
@@ -304,11 +298,11 @@ def clope_cluster(
         assignment=assignment,
         clusters=clusters,
         k=len(clusters),
-        profit=_profit_of(clusters, db.n, repulsion),
+        profit=_profit_of(clusters, repulsion),
         profit_per_pass=profits,
-        passes=passes,
+        passes=len(moves_per_pass),
         moves_per_pass=moves_per_pass,
-        hit_max_passes=hit_cap,
+        hit_max_passes=moves_per_pass[-1] > 0,
         seconds_add=seconds_add,
         seconds_refine=seconds_refine,
     )

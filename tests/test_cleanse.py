@@ -325,6 +325,14 @@ def test_manual_band_rejects_bad_endpoints(lower, upper):
         ManualBand(lower, upper)
 
 
+@pytest.mark.parametrize("lower, upper, missing", [
+    (None, 3.0, "lower"), (1.0, None, "upper"),
+])
+def test_manual_band_names_a_missing_endpoint(lower, upper, missing):
+    with pytest.raises(ValueError, match=f"missing its {missing} endpoint"):
+        ManualBand(lower, upper)
+
+
 def test_manual_band_allows_open_upper_end():
     assert ManualBand(2, math.inf).retains(10**9)
     assert ManualBand(3, 3).retains(3)

@@ -118,6 +118,14 @@ class TestCleanseCommand:
         assert "cleansing removed every transaction" in capsys.readouterr().err
         assert not (out / "cleansed.tsv").exists()
 
+    def test_empty_input(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        out = tmp_path / "out"
+        assert main(["cleanse", str(empty), "--out-dir", str(out)]) == 3
+        assert "no items to fit" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestClusterCommand:
     def test_cleansed_noise_example_two(self, tmp_path, capsys):
@@ -176,7 +184,14 @@ class TestPipeline:
     def test_empty_input(self, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
-        assert main(["pipeline", str(empty), "--out-dir", str(tmp_path)]) == 3
+        out = tmp_path / "out"
+        assert main(["pipeline", str(empty), "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
+    def test_missing_input_makes_no_directory(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["pipeline", str(tmp_path / "nope.tsv"), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_limit_truncates(self, fig1_file, tmp_path):
         out = tmp_path / "out"
@@ -239,6 +254,29 @@ def test_run_pipeline_with_in_memory_database(tmp_path):
     report = run_pipeline(config, db=db)
     assert report["arms"]["raw"]["k"] >= 1
     assert (tmp_path / "pipeline_report.json").exists()
+
+
+def test_run_pipeline_refuses_zero_limit_before_making_a_directory(fig1_file, tmp_path):
+    out = tmp_path / "out"
+    config = PipelineConfig(input_path=str(fig1_file), out_dir=out, limit=0)
+    with pytest.raises(ValueError, match="limit"):
+        run_pipeline(config)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lower, upper, missing", [
+    (None, 3.0, "lower"), (2.0, None, "upper"),
+])
+def test_run_pipeline_half_manual_band_fails_the_cleansed_arm_by_name(
+        noise1_file, tmp_path, lower, upper, missing):
+    config = PipelineConfig(input_path=str(noise1_file), out_dir=tmp_path,
+                            manual_lower=lower, manual_upper=upper)
+    arms = run_pipeline(config)["arms"]
+    assert arms["cleansed"]["status"] == "failed"
+    assert arms["cleansed"]["error"] == (
+        f"ValueError: manual band is missing its {missing} endpoint"
+    )
+    assert arms["raw"]["status"] == "ok"
 
 
 def _exit_code(argv):

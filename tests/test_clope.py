@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -233,6 +235,57 @@ class TestClopeCluster:
             result = clope_cluster(db, rng.choice([1.0, 1.5, 2.0]))
             for before, after in zip(result.profit_per_pass, result.profit_per_pass[1:]):
                 assert after >= before - 1e-9 * max(1.0, abs(before))
+
+
+class TestPlacementRule:
+    """Refinement tie-breaks: the cluster a transaction just left is the
+    baseline, other clusters take over only on a strictly greater delta, and
+    an emptied singleton is kept under its own id without counting a move."""
+
+    def test_home_wins_a_tie_with_a_lower_id_cluster(self):
+        db = letters_db("c", "ad", "d", "cd", "a")
+        # When "d" is re-placed, its home {ad, a} and the lower-id cluster
+        # {c, cd} have equal S, W and N, so both offer the same delta.
+        d = db.transactions[2]
+        home = ClusterSummary.from_transactions([db.transactions[1], db.transactions[4]])
+        lower = ClusterSummary.from_transactions([db.transactions[0], db.transactions[3]])
+        assert delta_add(home, d, 2.0) == delta_add(lower, d, 2.0)
+        result = clope_cluster(db, 2.0)
+        assert result.assignment == [0, 1, 1, 0, 1]
+        assert result.moves_per_pass == [0]
+
+    def test_emptied_singleton_stays_without_a_move(self):
+        result = clope_cluster(letters_db("ab", "cd"), 2.0)
+        assert result.assignment == [0, 1]
+        assert result.moves_per_pass == [0]
+        assert not result.hit_max_passes
+
+    def test_emptied_singleton_keeps_its_id(self):
+        db = letters_db("c", "de", "cd", "c", "bc")
+        # In pass 1 the singleton {de} (id 1) is re-placed into itself; then
+        # "cd" ties between {de} and {bc} (id 2) and joins the lower id.
+        # Were {de} re-created under a fresh id, "cd" would join {bc}, and
+        # the moves would read [1, 1, 0].
+        de, cd, bc = db.transactions[1], db.transactions[2], db.transactions[4]
+        assert delta_add(ClusterSummary.from_transactions([de]), cd, 1.5) == delta_add(
+            ClusterSummary.from_transactions([bc]), cd, 1.5
+        )
+        result = clope_cluster(db, 1.5)
+        assert result.assignment == [0, 1, 1, 0, 1]
+        assert result.moves_per_pass == [2, 0]
+
+    def test_integer_outputs_digest(self):
+        # sha256 of (assignment, moves_per_pass, k) over 300 seeded random
+        # databases; any change to the placement rule or scan order moves it.
+        rng = random.Random(2002)
+        rows = []
+        for _ in range(300):
+            db = random_db(rng, max_tx=40, max_vocab=rng.choice([4, 12, 30]))
+            result = clope_cluster(db, rng.choice([0.5, 1.0, 1.5, 2.0, 2.6]),
+                                   rng.choice([1, 2, 3, 20]))
+            rows.append([result.assignment, result.moves_per_pass, result.k])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "8bef4dfb842af0644bfc674a73ad52d2dad4021c73bedfc928dca9a51b40f314"
 
 
 class TestBruteForce:
