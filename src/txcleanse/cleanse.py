@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .core import ItemId, TransactionDatabase, remap
 
@@ -81,6 +81,16 @@ def _pairs(hist: Marginal) -> Sequence[MarginalPair]:
     return list(hist)
 
 
+def _ordered_sum(terms: Iterable[float]) -> float:
+    """Left-to-right sum, as the built-in ``sum`` was before Python 3.12
+    (3.12 compensates float sums), so fitted values are bit-identical across
+    Python versions."""
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
 def fit_lognormal(hist: Marginal) -> tuple[float, float]:
     """Population mean and standard deviation of ln(frequency) over items.
 
@@ -91,8 +101,8 @@ def fit_lognormal(hist: Marginal) -> tuple[float, float]:
     n = sum(k for _, k in pairs)
     if n == 0:
         raise ValueError("no items to fit")
-    mu = sum(k * math.log(f) for f, k in pairs) / n
-    var = sum(k * (math.log(f) - mu) ** 2 for f, k in pairs) / n
+    mu = _ordered_sum(k * math.log(f) for f, k in pairs) / n
+    var = _ordered_sum(k * (math.log(f) - mu) ** 2 for f, k in pairs) / n
     return mu, math.sqrt(var)
 
 
@@ -102,7 +112,7 @@ def fit_exponential(hist: Marginal) -> tuple[float, float]:
     n = sum(k for _, k in pairs)
     if n == 0:
         raise ValueError("no items to fit")
-    mean = sum(k * f for f, k in pairs) / n
+    mean = _ordered_sum(k * f for f, k in pairs) / n
     return mean, mean
 
 
@@ -235,14 +245,14 @@ def log_likelihood(hist: Marginal, kind: str) -> float | None:
         if sigma == 0.0:
             return None
         const = math.log(sigma * math.sqrt(2.0 * math.pi))
-        return sum(
+        return _ordered_sum(
             k * (-math.log(f) - const - (math.log(f) - mu) ** 2 / (2.0 * sigma**2))
             for f, k in pairs
         )
     if kind == EXPONENTIAL:
         mean, _ = fit_exponential(pairs)
         rate = 1.0 / mean
-        return sum(k * (math.log(rate) - rate * f) for f, k in pairs)
+        return _ordered_sum(k * (math.log(rate) - rate * f) for f, k in pairs)
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
@@ -310,17 +320,12 @@ def cleanse(
     return cleansed, report
 
 
-def histogram_csv_lines(hist: FrequencyHistogram) -> Iterator[str]:
-    """CSV export of the marginal: header then ``frequency,count`` ascending."""
-    yield "frequency,count"
-    for f, k in hist.marginal:
-        yield f"{f},{k}"
-
-
 def write_histogram_csv(hist: FrequencyHistogram, path) -> None:
+    """CSV export of the marginal: header then ``frequency,count`` ascending."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line in histogram_csv_lines(hist):
-            fh.write(line + "\n")
+        fh.write("frequency,count\n")
+        for f, k in hist.marginal:
+            fh.write(f"{f},{k}\n")
 
 
 __all__ = [
@@ -338,6 +343,5 @@ __all__ = [
     "log_likelihood",
     "CleansingReport",
     "cleanse",
-    "histogram_csv_lines",
     "write_histogram_csv",
 ]

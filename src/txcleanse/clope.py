@@ -10,13 +10,24 @@ where the repulsion r > 0 penalizes wide clusters; larger r favors more,
 tighter clusters. Clustering proceeds in an add phase followed by refinement
 passes that take each transaction out of its cluster and place it again,
 until a pass moves nothing. Both phases place a transaction, in tid order, by
-one rule (``_best_home``): its home (the cluster it just left, if any) is the
-baseline and wins ties; other clusters, scanned in ascending id, take over
-only on a strictly greater profit-numerator delta; a fresh cluster wins only
-if strictly better than all of them. An emptied home stays in the scan, so a
-singleton keeps its id and is not moved. Identical inputs thus yield
-identical clusterings. Per-pass work is O(n * k * |T|): every placement
-evaluates exact incremental deltas, never a full recomputation.
+one rule: its home (the cluster it just left, if any) is the baseline and
+wins ties; other clusters, scanned in ascending id, take over only on a
+strictly greater profit-numerator delta (``delta_add``); a fresh cluster wins
+only if strictly better than all of them. An emptied home stays in the scan,
+so a singleton keeps its id and is not moved. Identical inputs thus yield
+identical clusterings.
+
+Placement does not call ``delta_add`` per cluster. An inverted index
+``item -> {cluster: count}`` gives the clusters that share an item with the
+transaction and their overlaps, so only those are scored one by one, as
+``(S+|t|) / pw[W+|t|-overlap] * (N+1) - G`` with G the cluster's current
+gain and ``pw[w] == w**r`` a table over widths up to the item count (a width
+whose power overflows takes ``_gain``'s exp/log path). A cluster that shares
+no item offers a delta that depends on the transaction only through its
+size; those deltas are kept per size and cluster and read by one C-level
+``max``. Per-pass work is O(n * k + sum of overlaps), and every delta is
+bit-identical to ``delta_add``'s. ``delta_add`` and ``ClusterSummary`` stay
+as the oracles the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -193,32 +206,154 @@ def _profit_of(clusters: dict[int, ClusterSummary], repulsion: float) -> float:
     return profit([clusters[cid] for cid in sorted(clusters)], repulsion)
 
 
-def _best_home(
-    clusters: dict[int, ClusterSummary],
-    t: Transaction,
-    repulsion: float,
-    home: int | None = None,
-) -> int | None:
-    """The id of the cluster ``t`` should join, or None for a fresh one.
+def _powers(size: int, r: float) -> list:
+    """``pw[w] == w ** r`` for w < len(pw); the table stops at ``size`` or at
+    the first width whose power overflows a float, whichever comes first."""
+    pw = []
+    try:
+        for w in range(size):
+            pw.append(w**r)
+    except OverflowError:
+        pass
+    return pw
 
-    ``home``, the cluster ``t`` was just removed from, is the baseline and
-    wins ties; the other clusters are scanned in ascending id and take over
-    only on a strictly greater delta; a fresh cluster must beat them all.
+
+class _Placer:
+    """Incremental CLOPE state and the placement rule over it.
+
+    ``index[item]`` maps each cluster holding ``item`` to its count there, so
+    the clusters sharing an item with a transaction, and their overlaps with
+    it, come from the index rows of its items alone. ``stats[cid]`` is
+    ``(S, W, N + 1, G)`` of each live cluster, G its current gain;
+    ``clusters`` holds the matching ClusterSummary objects.
+
+    A cluster that shares no item with ``t`` offers ``(S+s) / pw[W+s] *
+    (N+1) - G``, which depends on ``t`` only through its size s. So
+    ``disjoint[s][slot]`` keeps that delta for every size s in the database
+    and every live cluster, refreshed whenever the cluster changes, and one
+    C-level ``max`` over it replaces scoring the disjoint clusters one by one.
+    ``cids[slot]`` is the cluster of each slot, in ascending id order, since
+    fresh ids only grow.
     """
-    others = sorted(clusters)
-    if home is None:
-        best_cid, best_delta = None, -math.inf
-    else:
-        others.remove(home)
-        best_cid, best_delta = home, delta_add(clusters[home], t, repulsion)
-    for cid in others:
-        d = delta_add(clusters[cid], t, repulsion)
-        if d > best_delta:
-            best_delta, best_cid = d, cid
-    size = len(t.items)
-    if _gain(size, size, 1, repulsion) > best_delta:
-        return None
-    return best_cid
+
+    def __init__(self, m: int, sizes: Iterable[int], repulsion: float) -> None:
+        self.r = repulsion
+        # widths never exceed m; wider or overflowing ones take _gain's path
+        self.pw = _powers(m + 1, repulsion)
+        self.index: dict[ItemId, dict[int, int]] = {}
+        self.stats: dict[int, tuple[int, int, int, float]] = {}
+        self.clusters: dict[int, ClusterSummary] = {}
+        self.disjoint: dict[int, list[float]] = {s: [] for s in sizes}
+        self.fresh = {s: _gain(s, s, 1, repulsion) for s in self.disjoint}
+        self.cids: list[int] = []
+
+    def _delta(self, occurrences: int, width: int, members: int, gain: float) -> float:
+        """``_gain(occurrences, width, members) - gain``, through the table."""
+        try:
+            return occurrences / self.pw[width] * members - gain
+        except IndexError:
+            return _gain(occurrences, width, members, self.r) - gain
+
+    def best(self, t: Transaction, home: int | None = None) -> int | None:
+        """The id of the cluster ``t`` should join, or None for a fresh one.
+
+        ``home``, the cluster that holds ``t`` in refinement, is the baseline
+        and wins ties; among the other clusters the greatest delta wins, and
+        the lowest id among equal ones; a fresh cluster must beat them all.
+        These are exactly the choices of scanning delta_add over the clusters
+        in ascending id, with ``t`` taken out of its home, and taking over
+        only on a strictly greater delta.
+        """
+        items = t.items
+        s = len(items)
+        stats = self.stats
+        # overlap counts, only for the clusters that share an item with t
+        ov = Counter(itertools.chain.from_iterable(filter(None, map(self.index.get, items))))
+        if home is not None:
+            del ov[home]
+        best_cid, best = None, -math.inf
+        pw = self.pw
+        for cid, o in ov.items():
+            S, W, N1, G = stats[cid]
+            try:
+                d = (S + s) / pw[W + s - o] * N1 - G
+            except IndexError:
+                d = _gain(S + s, W + s - o, N1, self.r) - G
+            if d > best or d == best and cid < best_cid:
+                best, best_cid = d, cid
+
+        # Overlap only narrows the width, so an overlapping cluster's column
+        # entry is at most its exact delta, already scored above. A column
+        # maximum above ``best`` is therefore a disjoint cluster's delta, and
+        # one equal to ``best`` is first held by a cluster whose exact delta
+        # equals ``best``: the lowest id among them wins the tie.
+        column = self.disjoint[s]
+        if home is not None:
+            slot = bisect_left(self.cids, home)
+            held, column[slot] = column[slot], -math.inf
+        top = max(column, default=-math.inf)
+        if top >= best and top > -math.inf:
+            cid = self.cids[column.index(top)]
+            if top > best or cid < best_cid:
+                best, best_cid = top, cid
+        if home is not None:
+            column[slot] = held
+            # t stays in its home: the home's delta is its gain minus the gain
+            # it would have without t
+            S, W, N1, G = stats[home]
+            occ = self.clusters[home].occ
+            ones = sum(occ[item] == 1 for item in items)
+            d = G - _gain(S - s, W - ones, N1 - 2, self.r)
+            if d >= best:
+                best, best_cid = d, home
+        if self.fresh[s] > best:
+            return None
+        return best_cid
+
+    def add(self, cid: int, t: Transaction) -> None:
+        summary = self.clusters.get(cid)
+        if summary is None:
+            summary = self.clusters[cid] = ClusterSummary()
+            self.cids.append(cid)
+            for column in self.disjoint.values():
+                column.append(-math.inf)
+        index = self.index
+        for item in t.items:
+            row = index.get(item)
+            if row is None:
+                index[item] = {cid: 1}
+            else:
+                row[cid] = row.get(cid, 0) + 1
+        summary.add(t)
+        self._restat(cid, summary)
+
+    def remove(self, cid: int, t: Transaction) -> None:
+        summary = self.clusters[cid]
+        index = self.index
+        for item in t.items:
+            row = index[item]
+            count = row[cid]
+            if count == 1:
+                del row[cid]
+            else:
+                row[cid] = count - 1
+        summary.remove(t)
+        if summary.members == 0:
+            del self.clusters[cid], self.stats[cid]
+            slot = bisect_left(self.cids, cid)
+            del self.cids[slot]
+            for column in self.disjoint.values():
+                del column[slot]
+        else:
+            self._restat(cid, summary)
+
+    def _restat(self, cid: int, summary: ClusterSummary) -> None:
+        S, W, N1, G = self.stats[cid] = (summary.occurrences, len(summary.occ),
+                                         summary.members + 1, summary.gain(self.r))
+        slot = bisect_left(self.cids, cid)
+        delta = self._delta
+        for s, column in self.disjoint.items():
+            column[slot] = delta(S + s, W + s, N1, G)
 
 
 def clope_cluster(
@@ -243,17 +378,17 @@ def clope_cluster(
             raise ValueError(f"transaction {t.tid} is empty; cleanse before clustering")
 
     transactions = db.transactions
-    clusters: dict[int, ClusterSummary] = {}
+    placer = _Placer(db.m, {len(t.items) for t in transactions}, repulsion)
+    clusters = placer.clusters
     assignment = [0] * db.n
     fresh_ids = itertools.count()
 
     started = time.perf_counter()
     for t in transactions:
-        cid = _best_home(clusters, t, repulsion)
+        cid = placer.best(t)
         if cid is None:
             cid = next(fresh_ids)
-            clusters[cid] = ClusterSummary()
-        clusters[cid].add(t)
+        placer.add(cid, t)
         assignment[t.tid] = cid
     seconds_add = time.perf_counter() - started
 
@@ -265,17 +400,15 @@ def clope_cluster(
         moves = 0
         for t in transactions:
             home = assignment[t.tid]
-            clusters[home].remove(t)
-            cid = _best_home(clusters, t, repulsion, home)
+            cid = placer.best(t, home)
+            if cid == home:
+                continue
             if cid is None:
                 cid = next(fresh_ids)
-                clusters[cid] = ClusterSummary()
-            if cid != home:
-                moves += 1
-                if clusters[home].members == 0:
-                    del clusters[home]
-            clusters[cid].add(t)
+            placer.remove(home, t)
+            placer.add(cid, t)
             assignment[t.tid] = cid
+            moves += 1
         moves_per_pass.append(moves)
         profits.append(_profit_of(clusters, repulsion))
         if profits[-1] < profits[-2] - PROFIT_RTOL * max(1.0, abs(profits[-2])):

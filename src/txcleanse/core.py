@@ -38,9 +38,6 @@ class ItemDictionary:
     def __len__(self) -> int:
         return len(self._strings)
 
-    def __contains__(self, item: str) -> bool:
-        return normalize_item(item) in self._ids
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ItemDictionary):
             return NotImplemented

@@ -35,13 +35,13 @@ class SyntheticSpec:
         if self.clusters < 1 or self.clusters > self.transactions:
             raise ValueError("clusters must be in [1, transactions]")
         if not 1 <= self.picks_per_transaction <= self.items_per_cluster:
-            raise ValueError("picks_per_transaction must be in [1, items_per_cluster]")
+            raise ValueError("picks_per_transaction (--picks) must be in [1, items_per_cluster]")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ValueError("noise_rate must be in [0, 1]")
         if self.noise_items_per_hit < 1:
-            raise ValueError("noise_items_per_hit must be >= 1")
+            raise ValueError("noise_items_per_hit (--noise-items) must be >= 1")
         if self.ubiquitous_items < 0:
-            raise ValueError("ubiquitous_items must be >= 0")
+            raise ValueError("ubiquitous_items (--ubiquitous) must be >= 0")
         if not 0.0 <= self.ubiquity <= 1.0:
             raise ValueError("ubiquity must be in [0, 1]")
 

@@ -309,6 +309,24 @@ class TestLogLikelihood:
         assert log_likelihood(pairs, "lognormal") == pytest.approx(direct)
 
 
+def test_fits_sum_left_to_right():
+    # Float hex of the fits on one fixed marginal, from left-to-right sums.
+    # A compensated (Neumaier) sum, the built-in sum of Python 3.12 on, reads
+    # sigma_hat 0x1.ea950f3e37227p-1 here.
+    pairs = [(f, f * 7919 % 13 + 1) for f in range(1, 41)] + [(97, 1), (1000, 2), (12345, 1)]
+    pinned = {
+        "lognormal": ["0x1.6ad19b3adfe30p+1", "0x1.ea950f3e37228p-1",
+                      "0x1.409b4d3fe95aap+1", "0x1.cebbfa9e99df4p+6", "-0x1.26c04182e4151p+10"],
+        "exponential": ["0x1.1e95f15f15f16p+6", "0x1.1e95f15f15f16p+6",
+                        "0x0.0p+0", "0x1.ade0ea0ea0ea1p+7", "-0x1.7105a3dbb73dfp+10"],
+    }
+    for kind, expected in pinned.items():
+        band = fit_distribution(pairs, kind, 2.0)
+        values = (band.mu_hat, band.sigma_hat, band.lower, band.upper,
+                  log_likelihood(pairs, kind))
+        assert [v.hex() for v in values] == expected, kind
+
+
 @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
 def test_non_positive_or_non_finite_s_rejected(s):
     with pytest.raises(ValueError):

@@ -336,6 +336,16 @@ def test_bad_synth_parameter_is_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--picks", "30"], "--picks"),
+    (["--noise-items", "0"], "--noise-items"),
+    (["--ubiquitous", "-1"], "--ubiquitous"),
+])
+def test_synth_usage_error_names_the_flag(tmp_path, capsys, flags, named):
+    assert _exit_code(["synth", *flags, "--out-dir", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_config_validation_rejects_non_finite_values(tmp_path):
     from txcleanse.core import ParseError
 

@@ -17,7 +17,8 @@ from txcleanse import (
     profit,
     recompute_profit,
 )
-from txcleanse.clope import _gain, _partitions
+from reference_clope import best_home, reference_cluster
+from txcleanse.clope import _gain, _partitions, _Placer, _powers
 
 
 class TestPartitions:
@@ -286,6 +287,67 @@ class TestPlacementRule:
             rows.append([result.assignment, result.moves_per_pass, result.k])
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "8bef4dfb842af0644bfc674a73ad52d2dad4021c73bedfc928dca9a51b40f314"
+
+
+def _outputs(result):
+    return (result.assignment, result.moves_per_pass, result.k, result.hit_max_passes,
+            [p.hex() for p in result.profit_per_pass], result.profit.hex())
+
+
+def _assert_matches_reference(db, r, max_passes):
+    result = clope_cluster(db, r, max_passes)
+    reference = reference_cluster(db, r, max_passes)
+    assert _outputs(result) == _outputs(reference)
+    assert result.clusters == reference.clusters
+    for cid, summary in result.clusters.items():
+        members = [db.transactions[tid] for tid in result.members_of(cid)]
+        assert summary == ClusterSummary.from_transactions(members)
+
+
+class TestKernelParity:
+    """clope_cluster against the per-cluster delta_add scan, bit for bit."""
+
+    def test_random_databases(self):
+        rng = random.Random(6006)
+        for _ in range(3000):
+            db = random_db(rng, max_tx=rng.choice([10, 40, 80]),
+                           max_vocab=rng.choice([4, 12, 30]), max_size=rng.choice([6, 14]))
+            _assert_matches_reference(db, rng.choice([0.5, 1.0, 1.5, 2.0, 2.6, 300.0]),
+                                      rng.choice([1, 2, 3, 20]))
+
+    @pytest.mark.parametrize("r", [300.0, 300])
+    def test_widths_past_the_power_table(self, r):
+        # 11**300.0 overflows a float, so widths from 11 on take _gain's
+        # exp/log path, where the gains of widths 11 and 12 are subnormal but
+        # still decide placements; an int r gives exact int powers instead.
+        rng = random.Random(11)
+        vocab = [f"i{j}" for j in range(12)]
+        for _ in range(20):
+            db = database_from_items(
+                [rng.sample(vocab, rng.randint(9, 12)) for _ in range(rng.randint(3, 40))]
+            )
+            assert len(_powers(db.m + 1, 300.0)) == 11
+            for max_passes in (1, 20):
+                _assert_matches_reference(db, r, max_passes)
+
+    def test_home_is_kept_out_of_the_disjoint_maximum(self):
+        # The home's disjoint delta (t added to it a second time) would beat
+        # the true best at r=0.5 here.
+        db = letters_db("ea", "a", "eb", "eab", "ab", "e", "b", "a", "ead", "c", "e", "eabd",
+                        "a", "bd")
+        _assert_matches_reference(db, 0.5, 20)
+
+    def test_disjoint_cluster_wins_a_tie_with_a_higher_id_overlapping_one(self):
+        # At r=1 the singleton {pq} (id 0), which shares no item with t, and
+        # {x, x} (id 1), which shares x, both offer t exactly 1.0, as does a
+        # fresh cluster: the lower id takes t.
+        db = letters_db("pq", "x", "x", "xab")
+        *members, t = db.transactions
+        placer = _Placer(db.m, {1, 2, 3}, 1.0)
+        for cid, member in zip((0, 1, 1), members):
+            placer.add(cid, member)
+        assert [delta_add(placer.clusters[cid], t, 1.0) for cid in (0, 1)] == [1.0, 1.0]
+        assert placer.best(t) == best_home(placer.clusters, t, 1.0) == 0
 
 
 class TestBruteForce:

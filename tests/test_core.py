@@ -43,7 +43,6 @@ class TestItemDictionary:
             assert d.lookup(d.intern(word)) == word
         assert d.id_of("ichiro") == 1
         assert d.id_of("unseen") is None
-        assert "ichiro" in d
 
     def test_empty_after_normalization_rejected(self):
         d = ItemDictionary()
