@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -139,16 +138,17 @@ def _band_from_config(db: TransactionDatabase, config: PipelineConfig):
     return ManualBand(config.manual_lower, config.manual_upper)
 
 
-def _assignment_csv_lines(clustering: clope.Clustering):
-    yield "tid,cluster_id"
-    for tid, cid in enumerate(clustering.assignment):
-        yield f"{tid},{cid}"
-
-
 def write_assignment_csv(clustering: clope.Clustering, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for line in _assignment_csv_lines(clustering):
-            fh.write(line + "\n")
+        fh.write("tid,cluster_id\n")
+        for tid, cid in enumerate(clustering.assignment):
+            fh.write(f"{tid},{cid}\n")
+
+
+def _write_json(payload: dict, path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) -> dict:
@@ -156,10 +156,10 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
 
     Arm 'cleansed' fits a band (or uses the manual one), cleanses, then
     clusters; arm 'raw' clusters the input unchanged, exactly as the
-    ``cluster`` subcommand would. Assignment CSVs and the validated report
-    are written into ``config.out_dir``. The report's time ratio compares
-    cleanse+cluster seconds of the raw arm against the cleansed arm, leaving
-    file parsing out of the comparison. ``config`` must have passed
+    ``cluster`` subcommand would. Assignment CSVs and the report, which
+    fits ``report_schema.json``, are written into ``config.out_dir``. The
+    report's time ratio compares cleanse+cluster seconds of the raw arm
+    against the cleansed arm, leaving file parsing out of the comparison. ``config`` must have passed
     ``PipelineConfig.validate``.
     """
     started = time.perf_counter()
@@ -180,15 +180,14 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
             "profit_per_pass": None, "hit_max_passes": None, "n_transactions": None,
             "n_items": None, "assignment_csv": None, "seconds": seconds, "cleansing": None,
         }
-        cleansing_json = None
         try:
             arm_db = db
             if arm_name == "cleansed":
                 started = time.perf_counter()
                 band = _band_from_config(db, config)
-                arm_db, report = cleanse_database(db, band)
+                arm_db, cleansing = cleanse_database(db, band)
                 seconds["cleanse"] = time.perf_counter() - started
-                cleansing_json = report.to_json_dict()
+                arm["cleansing"] = cleansing.to_json_dict()
                 if arm_db.n == 0:
                     raise ValueError(EMPTY_CLEANSE)
             started = time.perf_counter()
@@ -199,7 +198,7 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
             arm.update(status="ok", k=clustering.k, profit=clustering.profit,
                        passes=clustering.passes, profit_per_pass=clustering.profit_per_pass,
                        hit_max_passes=clustering.hit_max_passes, n_transactions=arm_db.n,
-                       n_items=arm_db.m, assignment_csv=csv_name, cleansing=cleansing_json)
+                       n_items=arm_db.m, assignment_csv=csv_name)
         except Exception as exc:  # either arm failing is itself a result
             arm["error"] = f"{type(exc).__name__}: {exc}"
 
@@ -220,33 +219,14 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
         "arms": arms,
         "improvement": {"profit_ratio": profit_ratio, "time_ratio": time_ratio},
     }
-    validate_report(report)
-    with open(out_dir / "pipeline_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(report, out_dir / "pipeline_report.json")
     return report
 
 
 def load_report_schema() -> dict:
+    """The JSON Schema that every ``pipeline_report.json`` fits."""
     text = resources.files("txcleanse").joinpath("report_schema.json").read_text("utf-8")
     return json.loads(text)
-
-
-@functools.cache
-def _report_validator():
-    # jsonschema is imported on first use: only ``pipeline`` validates.
-    import jsonschema
-
-    schema = load_report_schema()
-    validator_class = jsonschema.validators.validator_for(schema)
-    validator_class.check_schema(schema)
-    return validator_class(schema)
-
-
-def validate_report(report: dict) -> None:
-    """Raise jsonschema.ValidationError unless ``report`` fits the shipped
-    schema, which is loaded and checked once per process."""
-    _report_validator().validate(report)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +255,7 @@ def cmd_stats(config: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_fit(config: PipelineConfig, args: argparse.Namespace) -> int:
     db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
     if db.m == 0:
-        print("no items to fit", file=sys.stderr)
-        return EXIT_EMPTY
+        raise EmptyInputError("no items to fit")
     hist = item_frequencies(db)
     fit = fit_distribution(hist, config.distribution, config.s, raw_band=config.raw_band)
     verdicts = Counter(fit.classify(f) for f in hist.per_item.values())
@@ -297,8 +276,7 @@ def cmd_fit(config: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_cleanse(config: PipelineConfig, args: argparse.Namespace) -> int:
     db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
     if db.m == 0:
-        print("no items to fit", file=sys.stderr)
-        return EXIT_EMPTY
+        raise EmptyInputError("no items to fit")
     band = _band_from_config(db, config)
     cleansed, report = cleanse_database(db, band)
     if cleansed.n == 0:
@@ -307,9 +285,7 @@ def cmd_cleanse(config: PipelineConfig, args: argparse.Namespace) -> int:
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_transactions(cleansed, out_dir / "cleansed.tsv", config.delimiter)
-    with open(out_dir / "cleanse_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(report.to_json_dict(), out_dir / "cleanse_report.json")
     print(
         f"items: kept {report.items_retained}, removed {report.items_removed_low} low"
         f" + {report.items_removed_high} high; transactions: kept"
@@ -323,8 +299,7 @@ def cmd_cluster(config: PipelineConfig, args: argparse.Namespace) -> int:
     db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
     seconds_ingest = time.perf_counter() - started
     if db.n == 0:
-        print("no transactions to cluster", file=sys.stderr)
-        return EXIT_EMPTY
+        raise EmptyInputError("no transactions to cluster")
     clustering = clope.clope_cluster(db, config.repulsion, config.max_passes)
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -342,9 +317,7 @@ def cmd_cluster(config: PipelineConfig, args: argparse.Namespace) -> int:
             "refine_phase": clustering.seconds_refine,
         },
     }
-    with open(out_dir / "cluster_report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(payload, out_dir / "cluster_report.json")
     print(f"k: {clustering.k}")
     print(f"profit: {clustering.profit}")
     print(f"passes: {clustering.passes}")

@@ -19,6 +19,7 @@ error carrying the line number; recoverable oddities are reported through an
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -29,15 +30,38 @@ log = logging.getLogger(__name__)
 WarningSink = Callable[[str], None]
 
 
+_LINE_END = re.compile(r"\r\n?|\n")
+
+
 def _decoded_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, text) decoding bytes as UTF-8."""
-    for lineno, line in enumerate(lines, start=1):
+    r"""Yield (1-based line number, text) decoding bytes as UTF-8.
+
+    Each element of ``lines`` is one line ended by ``\n`` or ``\r\n``, as
+    from iterating a file, unless it holds a bare ``\r``, which ends a line
+    too (Python's universal newlines). Line numbers count every line end.
+    """
+    lineno = 0
+    for line in lines:
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid UTF-8 ({exc.reason})") from exc
-        yield lineno, line.rstrip("\r\n")
+                # the lines before the bad one come first, as from a text file
+                *before, _ = _LINE_END.split(line[:exc.start].decode("utf-8"))
+                for lineno, text in enumerate(before, lineno + 1):
+                    yield lineno, text
+                raise ParseError(f"line {lineno + 1}: invalid UTF-8 ({exc.reason})") from exc
+        lineno += 1
+        if "\r" not in line:
+            yield lineno, line.rstrip("\n")
+        elif line.endswith("\r\n") and line.count("\r") == 1:
+            yield lineno, line[:-2]
+        else:
+            texts = _LINE_END.split(line)
+            if not texts[-1]:
+                texts.pop()  # the line end that closes the last line
+            for lineno, text in enumerate(texts, lineno):
+                yield lineno, text
 
 
 def parse_transactions(

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from conftest import check_pipeline_reports
+from txcleanse import parse_transactions
 from txcleanse.cli import load_report_schema, main, run_pipeline, PipelineConfig
 
 FIG1 = (
@@ -277,6 +283,79 @@ def test_run_pipeline_half_manual_band_fails_the_cleansed_arm_by_name(
         f"ValueError: manual band is missing its {missing} endpoint"
     )
     assert arms["raw"]["status"] == "ok"
+    assert arms["cleansed"]["cleansing"] is None
+
+
+def test_cleansed_arm_that_kept_nothing_reports_its_cleansing(noise1_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["pipeline", str(noise1_file), "--lower", "10000", "--upper", "20000",
+                 "--out-dir", str(out)]) == 1
+    assert "cleansed: FAILED (ValueError: cleansing removed every transaction)" in (
+        capsys.readouterr().out)
+    arm = json.loads((out / "pipeline_report.json").read_text())["arms"]["cleansed"]
+    assert arm["status"] == "failed"
+    cleansing = arm["cleansing"]
+    assert cleansing["items_removed_low"] + cleansing["items_removed_high"] == 15
+    assert cleansing["items_retained"] == 0
+    assert cleansing["transactions_retained"] == 0
+    assert cleansing["fit"] == {"kind": "manual", "lower": 10000.0, "upper": 20000.0}
+
+
+def test_report_check_refuses_a_wrong_shape(tmp_path_factory):
+    # the check every test's tmp_path gets from conftest, on reports kept
+    # out of this test's own tmp_path
+    root = tmp_path_factory.mktemp("reports")
+    db = parse_transactions(NOISE_EXAMPLE_1.splitlines())
+    report = run_pipeline(PipelineConfig(input_path="<memory>", out_dir=root), db=db)
+    assert check_pipeline_reports(root) == 1
+    del report["arms"]["raw"]["cleansing"]
+    (root / "bad").mkdir()
+    (root / "bad" / "pipeline_report.json").write_text(json.dumps(report))
+    with pytest.raises(jsonschema.ValidationError, match="cleansing"):
+        check_pipeline_reports(root)
+
+
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+from txcleanse.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "imported": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_pipeline_imports_no_third_party_module(noise1_file, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, "pipeline", str(noise1_file),
+         "--dist", "exponential", "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["code"] == 0
+    imported = {name.partition(".")[0] for name in probe["imported"]}
+    assert "jsonschema" not in imported
+    assert imported - set(sys.stdlib_module_names) == {"txcleanse"}
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("generic", "a\tb\nb\tc\na\tc\n"),
+    ("keywords", "u.com\ta\tb\nv.com\tb\tc\nw.com\ta\n"),
+    ("aol", "AnonID\tQuery\tQueryTime\n1\ta\tt\n1\tb\tt\n2\tb\tt\n"),
+], ids=["generic", "keywords", "aol"])
+def test_cr_only_input_reads_as_its_lf_twin(tmp_path, capsys, fmt, text):
+    printed = []
+    for name, line_end in (("lf", "\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(text.replace("\n", line_end).encode())
+        assert main(["stats", str(path), "--format", fmt, "--out-dir", str(tmp_path / name)]) == 0
+        printed.append(capsys.readouterr().out.partition("histogram_csv:")[0])
+    assert printed[0] == printed[1]
+    assert "transactions: 1\n" not in printed[0]
+    assert (tmp_path / "lf" / "histogram.csv").read_bytes() == (
+        (tmp_path / "cr" / "histogram.csv").read_bytes())
 
 
 def _exit_code(argv):

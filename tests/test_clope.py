@@ -330,6 +330,32 @@ class TestKernelParity:
             for max_passes in (1, 20):
                 _assert_matches_reference(db, r, max_passes)
 
+    @pytest.mark.parametrize("r", [300.0, 300])
+    def test_disjoint_columns_equal_delta_add(self, r):
+        # disjoint[s][slot] is the delta of a size-s transaction that shares
+        # no item with the slot's cluster. Cluster widths run up to 12 and
+        # sizes to 12, so at r=300.0 the widths from 11 on, past the power
+        # table, take _gain's exp/log path.
+        rng = random.Random(300)
+        vocab = [f"i{j}" for j in range(12)]
+        rows = [rng.sample(vocab, rng.randint(1, 12)) for _ in range(40)]
+        db = database_from_items(rows + [[f"o{j}" for j in range(s)] for s in range(1, 13)])
+        members = db.transactions[:len(rows)]
+        outside = {len(t.items): t for t in db.transactions[len(rows):]}
+        placer = _Placer(db.m, outside, r)
+        assert len(placer.pw) == (11 if isinstance(r, float) else db.m + 1)
+        homes = []
+        for t in members:
+            cid = rng.randint(0, len(placer.cids))
+            placer.add(cid, t)
+            homes.append(cid)
+        for t, cid in zip(members[::3], homes[::3]):
+            placer.remove(cid, t)
+        for s, t in outside.items():
+            assert placer.disjoint[s] == [
+                delta_add(placer.clusters[cid], t, r) for cid in placer.cids
+            ]
+
     def test_home_is_kept_out_of_the_disjoint_maximum(self):
         # The home's disjoint delta (t added to it a second time) would beat
         # the true best at r=0.5 here.

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -246,3 +247,111 @@ class TestTruncate:
         db = database_from_items([["a"]])
         with pytest.raises(ValueError):
             truncate(db, 0)
+
+
+class TestLineEnds:
+    """A bare \\r ends a line as \\n and \\r\\n do, and line numbers count it."""
+
+    def test_generic_cr_only(self):
+        db = parse_transactions(io.BytesIO(b"a\tb\rc\td\re\tf\r"))
+        assert [db.item_strings(t) for t in db] == [["a", "b"], ["c", "d"], ["e", "f"]]
+
+    def test_keywords_cr_only(self):
+        warnings = []
+        db = parse_keyword_registration(io.BytesIO(b"a.com\tx\ty\r\tz\rb.com\tx\r"),
+                                        on_warning=warnings.append)
+        assert [t.label for t in db] == ["a.com", "b.com"]
+        assert warnings == ["line 2: missing URL; line skipped"]
+
+    def test_aol_cr_only(self):
+        warnings = []
+        records = parse_query_log(
+            io.BytesIO(f"{AOL_HEADER}\r1\tq\tt\t\t\r2\tr\tt\r3\ts\tt\t\t".encode()),
+            on_warning=warnings.append,
+        )
+        assert [(r.anon_id, r.query) for r in records] == [("1", "q"), ("3", "s")]
+        assert warnings == ["line 3: expected 5 fields, got 3; row skipped"]
+
+    def test_bad_utf8_line_number_counts_cr(self):
+        with pytest.raises(ParseError, match="^line 4: invalid UTF-8"):
+            parse_transactions(io.BytesIO(b"a\r\nb\rc\r\xff\n"))
+
+    def test_mixed_ends_in_text_lines(self):
+        warnings = []
+        db = parse_transactions(["a\rb\r\n", "c\r \r", "d\r\n", "e"], on_warning=warnings.append)
+        assert [db.item_strings(t) for t in db] == [["a"], ["b"], ["c"], ["d"], ["e"]]
+        assert warnings == ["line 4: all items empty after normalization; line skipped"]
+
+
+# Boundary tests: any file is either parsed or refused with ParseError, and
+# its line ends (\n, \r\n, a bare \r, mixed) do not change the outcome.
+
+_FIELDS = st.sampled_from(["", " ", "1", "07", "-2", "x", "Q ", " ab  c", "\u00e9", "http://a.com"])
+_ROWS = st.lists(st.lists(_FIELDS, max_size=6).map("\t".join), max_size=6)
+_AOL_HEADERS = st.sampled_from([
+    AOL_HEADER, "AnonID\tQuery\tQueryTime", "querytime\tClickURL\tQUERY\tItemRank\tAnonID",
+    "AnonID\tQuery", " ", "", None,
+])
+
+
+@st.composite
+def _line_files(draw, headers=st.none()):
+    """The same lines as two files: ended by \\n, and by a mix of line ends.
+    Some files hold one line with bad UTF-8."""
+    lines = draw(_ROWS)
+    header = draw(headers)
+    if header is not None:
+        lines.insert(0, header)
+    encoded = [line.encode() for line in lines]
+    if encoded and draw(st.booleans()):
+        i = draw(st.integers(0, len(encoded) - 1))
+        cut = draw(st.integers(0, len(encoded[i])))
+        encoded[i] = encoded[i][:cut] + b"\xff" + encoded[i][cut:]
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]),
+                         min_size=len(encoded), max_size=len(encoded)))
+    for i in range(len(encoded) - 1):
+        if ends[i] == b"\r" and not encoded[i + 1] and ends[i + 1] != b"\r":
+            ends[i] = b"\r\n"  # "\r" + "" + "\n" would read as one line end
+    if ends and draw(st.booleans()):
+        ends[-1] = b""  # no line end after the last line
+    lf = b"".join(line + (end and b"\n") for line, end in zip(encoded, ends))
+    mixed = b"".join(line + end for line, end in zip(encoded, ends))
+    return lf, mixed
+
+
+def _outcome(parse, lines):
+    """What parsing ``lines`` gives: the result or the ParseError message,
+    and the warnings. Any other exception escapes."""
+    warnings = []
+    try:
+        result = parse(lines, on_warning=warnings.append)
+    except ParseError as exc:
+        result = f"ParseError: {exc}"
+    return result, warnings
+
+
+def _assert_line_ends_do_not_matter(parse, outcome, mixed: bytes):
+    assert _outcome(parse, io.BytesIO(mixed)) == outcome
+    if b"\xff" not in mixed:  # the same file as text, read without newline translation
+        assert _outcome(parse, io.StringIO(mixed.decode(), newline="\n")) == outcome
+
+
+class TestBoundaries:
+    @given(_line_files(_AOL_HEADERS))
+    def test_query_log_is_parsed_or_refused(self, files):
+        lf, mixed = files
+        outcome = _outcome(parse_query_log, io.BytesIO(lf))
+        records, _ = outcome
+        if isinstance(records, list):
+            assert all(r.anon_id and r.query for r in records)
+            assert sessionize(records).n == len({r.anon_id for r in records})
+        _assert_line_ends_do_not_matter(parse_query_log, outcome, mixed)
+
+    @given(_line_files())
+    def test_keyword_dump_is_parsed_or_refused(self, files):
+        lf, mixed = files
+        outcome = _outcome(parse_keyword_registration, io.BytesIO(lf))
+        db, _ = outcome
+        if not isinstance(db, str):
+            assert all(t.items and t.label for t in db)
+        _assert_line_ends_do_not_matter(parse_keyword_registration, outcome, mixed)
