@@ -19,7 +19,6 @@ error carrying the line number; recoverable oddities are reported through an
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -28,9 +27,6 @@ from .core import DatabaseBuilder, ParseError, TransactionDatabase, remap
 log = logging.getLogger(__name__)
 
 WarningSink = Callable[[str], None]
-
-
-_LINE_END = re.compile(r"\r\n?|\n")
 
 
 def _decoded_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
@@ -47,19 +43,16 @@ def _decoded_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
                 line = line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 # the lines before the bad one come first, as from a text file
-                *before, _ = _LINE_END.split(line[:exc.start].decode("utf-8"))
+                *before, _ = line[:exc.start].decode("utf-8").split("\r")
                 for lineno, text in enumerate(before, lineno + 1):
                     yield lineno, text
                 raise ParseError(f"line {lineno + 1}: invalid UTF-8 ({exc.reason})") from exc
         lineno += 1
         if "\r" not in line:
             yield lineno, line.rstrip("\n")
-        elif line.endswith("\r\n") and line.count("\r") == 1:
-            yield lineno, line[:-2]
         else:
-            texts = _LINE_END.split(line)
-            if not texts[-1]:
-                texts.pop()  # the line end that closes the last line
+            # drop the line end that closes the last line, then split at the rest
+            texts = line.removesuffix("\n").removesuffix("\r").split("\r")
             for lineno, text in enumerate(texts, lineno):
                 yield lineno, text
 
