@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .core import ItemId, TransactionDatabase, remap
@@ -58,16 +59,10 @@ class FrequencyHistogram:
     def item_count(self) -> int:
         return len(self.per_item)
 
-    @property
-    def total_occurrences(self) -> int:
-        return sum(f * k for f, k in self.marginal)
-
 
 def item_frequencies(db: TransactionDatabase) -> FrequencyHistogram:
     """Count, for every item, the number of transactions containing it."""
-    counts: Counter[ItemId] = Counter()
-    for t in db.transactions:
-        counts.update(t.items)
+    counts = Counter(chain.from_iterable(t.items for t in db.transactions))
     marginal = tuple(sorted(Counter(counts.values()).items()))
     return FrequencyHistogram(per_item=dict(counts), marginal=marginal)
 

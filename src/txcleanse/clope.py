@@ -184,7 +184,7 @@ class Clustering:
 
     ``assignment[tid]`` is the dense cluster id (renumbered by smallest
     member tid); ``profit_per_pass`` starts with the add-phase profit and
-    appends one value per refinement pass.
+    appends one value per refinement pass; ``profit`` is its last entry.
     """
 
     assignment: list[int]
@@ -431,7 +431,7 @@ def clope_cluster(
         assignment=assignment,
         clusters=clusters,
         k=len(clusters),
-        profit=_profit_of(clusters, repulsion),
+        profit=profits[-1],
         profit_per_pass=profits,
         passes=len(moves_per_pass),
         moves_per_pass=moves_per_pass,

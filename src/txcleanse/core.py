@@ -8,13 +8,10 @@ re-ingests to an identical value.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 ItemId = int
-
-_WS = re.compile(r"\s+")
 
 
 class ParseError(ValueError):
@@ -23,7 +20,7 @@ class ParseError(ValueError):
 
 def normalize_item(raw: str) -> str:
     """Canonical item form: trimmed, lowercased, inner whitespace collapsed."""
-    return _WS.sub(" ", raw.strip()).lower()
+    return " ".join(raw.split()).lower()
 
 
 class ItemDictionary:
@@ -157,12 +154,11 @@ class DatabaseBuilder:
     def add(self, raw_items: Iterable[str], label: str | None = None) -> bool:
         """Append one transaction. Returns False (and adds nothing) when every
         item normalizes to the empty string."""
-        names = [n for n in dict.fromkeys(normalize_item(r) for r in raw_items) if n]
-        if not names:
-            return False
         intern = self._dictionary._intern_normalized
-        ids = sorted(intern(n) for n in names)
-        self._transactions.append(Transaction(len(self._transactions), tuple(ids), label))
+        ids = {intern(n) for r in raw_items if (n := normalize_item(r))}
+        if not ids:
+            return False
+        self._transactions.append(Transaction(len(self._transactions), tuple(sorted(ids)), label))
         return True
 
     def build(self) -> TransactionDatabase:

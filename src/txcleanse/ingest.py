@@ -35,6 +35,7 @@ def _decoded_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
     Each element of ``lines`` is one line ended by ``\n`` or ``\r\n``, as
     from iterating a file, unless it holds a bare ``\r``, which ends a line
     too (Python's universal newlines). Line numbers count every line end.
+    One byte-order mark (U+FEFF) opening line 1 is dropped; any other stays.
     """
     lineno = 0
     for line in lines:
@@ -47,6 +48,8 @@ def _decoded_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
                 for lineno, text in enumerate(before, lineno + 1):
                     yield lineno, text
                 raise ParseError(f"line {lineno + 1}: invalid UTF-8 ({exc.reason})") from exc
+        if not lineno:
+            line = line.removeprefix("\ufeff")
         lineno += 1
         if "\r" not in line:
             yield lineno, line.rstrip("\n")

@@ -88,7 +88,7 @@ def reference_cluster(db: TransactionDatabase, repulsion: float,
         assignment=[renumber[cid] for cid in assignment],
         clusters=clusters,
         k=len(clusters),
-        profit=_profit_of(clusters, repulsion),
+        profit=profits[-1],
         profit_per_pass=profits,
         passes=len(moves_per_pass),
         moves_per_pass=moves_per_pass,

@@ -298,6 +298,7 @@ def _assert_matches_reference(db, r, max_passes):
     result = clope_cluster(db, r, max_passes)
     reference = reference_cluster(db, r, max_passes)
     assert _outputs(result) == _outputs(reference)
+    assert result.profit.hex() == result.profit_per_pass[-1].hex()
     assert result.clusters == reference.clusters
     for cid, summary in result.clusters.items():
         members = [db.transactions[tid] for tid in result.members_of(cid)]

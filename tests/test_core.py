@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,33 @@ def test_normalize_item():
     assert normalize_item("DISNEYLAND") == "disneyland"
     assert normalize_item(" \t \n") == ""
     assert normalize_item("ichiro") == "ichiro"
+
+
+# The regex form of normalize_item is the oracle for its str built-ins.
+_WS = re.compile(r"\s+")
+EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = [c for c in EVERY_CODE_POINT if c.isspace()]
+
+
+def regex_normalize(raw: str) -> str:
+    return _WS.sub(" ", raw.strip()).lower()
+
+
+def test_str_whitespace_is_regex_whitespace():
+    # str.split() and str.strip() split and strip at exactly the isspace() code points
+    assert WHITESPACE == re.findall(r"\s", EVERY_CODE_POINT)
+
+
+def test_normalize_item_matches_regex_on_every_code_point():
+    for wrap in ("{}", "A{}b"):
+        mismatch = next((raw for raw in map(wrap.format, EVERY_CODE_POINT)
+                         if normalize_item(raw) != regex_normalize(raw)), None)
+        assert mismatch is None
+
+
+@given(st.text(st.sampled_from(WHITESPACE) | st.characters()))
+def test_normalize_item_matches_regex(raw):
+    assert normalize_item(raw) == regex_normalize(raw)
 
 
 class TestItemDictionary:
@@ -70,6 +100,11 @@ class TestDatabaseBuilder:
     def test_duplicates_within_transaction_dropped(self):
         db = database_from_items([["a", "a", "b"]])
         assert [len(t) for t in db] == [2]
+
+    def test_spellings_of_one_item_share_its_first_seen_id(self):
+        db = database_from_items([["B", " b ", "a", "B"]])
+        assert db.dictionary.strings() == ("b", "a")
+        assert db.transactions[0].items == (0, 1)
 
     def test_all_empty_transaction_not_added(self):
         b = DatabaseBuilder()

@@ -283,6 +283,31 @@ class TestLineEnds:
         assert warnings == ["line 4: all items empty after normalization; line skipped"]
 
 
+class TestByteOrderMark:
+    """One U+FEFF opening an input is dropped, so the file parses as its twin
+    without the mark; a U+FEFF anywhere else is kept."""
+
+    @staticmethod
+    def _assert_parses_as_twin(parse, text):
+        plain = _outcome(parse, io.BytesIO(text.encode()))
+        assert not isinstance(plain[0], str)
+        assert _outcome(parse, io.BytesIO(("\ufeff" + text).encode())) == plain
+        assert _outcome(parse, io.StringIO("\ufeff" + text, newline="")) == plain
+
+    def test_generic(self):
+        self._assert_parses_as_twin(parse_transactions, "a\tb\nb\ta\n")
+
+    def test_keywords(self):
+        self._assert_parses_as_twin(parse_keyword_registration, "a.com\tx\ty\nb.com\ty\n")
+
+    def test_aol(self):
+        self._assert_parses_as_twin(parse_query_log, f"{AOL_HEADER}\r\n1\tq\tt\t\t\r\n")
+
+    def test_only_one_leading_mark_is_dropped(self):
+        db = parse_transactions(["\ufeff\ufeffa\n", "\ufeffb\n"])
+        assert db.dictionary.strings() == ("\ufeffa", "\ufeffb")
+
+
 # Boundary tests: any file is either parsed or refused with ParseError, and
 # its line ends (\n, \r\n, a bare \r, mixed) do not change the outcome.
 
