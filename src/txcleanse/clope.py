@@ -26,8 +26,9 @@ whose power overflows takes ``_gain``'s exp/log path). A cluster that shares
 no item offers a delta that depends on the transaction only through its
 size; those deltas are kept per size and cluster and read by one C-level
 ``max``. Per-pass work is O(n * k + sum of overlaps), and every delta is
-bit-identical to ``delta_add``'s. ``delta_add`` and ``ClusterSummary`` stay
-as the oracles the tests compare the kernel against.
+bit-identical to ``delta_add``'s. The index is the only occurrence map: each
+pass's profit and ``Clustering.clusters`` are read off it. ``delta_add`` and
+``ClusterSummary`` stay as the oracles the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -72,14 +73,12 @@ class ClusterSummary:
     re-adding it restores the summary bit-for-bit.
     """
 
-    __slots__ = ("occ", "occurrences", "members", "_gain_r", "_gain_value")
+    __slots__ = ("occ", "occurrences", "members")
 
     def __init__(self) -> None:
         self.occ: dict[ItemId, int] = {}
         self.occurrences = 0
         self.members = 0
-        self._gain_r = -1.0
-        self._gain_value = 0.0
 
     @property
     def width(self) -> int:
@@ -91,7 +90,6 @@ class ClusterSummary:
             occ[item] = occ.get(item, 0) + 1
         self.occurrences += len(t.items)
         self.members += 1
-        self._gain_r = -1.0
 
     def remove(self, t: Transaction) -> None:
         occ = self.occ
@@ -103,14 +101,9 @@ class ClusterSummary:
                 occ[item] = count - 1
         self.occurrences -= len(t.items)
         self.members -= 1
-        self._gain_r = -1.0
 
     def gain(self, r: float) -> float:
-        # memoized per repulsion; every mutation invalidates
-        if self._gain_r != r:
-            self._gain_value = _gain(self.occurrences, len(self.occ), self.members, r)
-            self._gain_r = r
-        return self._gain_value
+        return _gain(self.occurrences, len(self.occ), self.members, r)
 
     @classmethod
     def from_transactions(cls, transactions: Iterable[Transaction]) -> ClusterSummary:
@@ -223,9 +216,9 @@ class _Placer:
 
     ``index[item]`` maps each cluster holding ``item`` to its count there, so
     the clusters sharing an item with a transaction, and their overlaps with
-    it, come from the index rows of its items alone. ``stats[cid]`` is
-    ``(S, W, N + 1, G)`` of each live cluster, G its current gain;
-    ``clusters`` holds the matching ClusterSummary objects.
+    it, come from the index rows of its items alone; ``summaries()`` reads the
+    clusters' ClusterSummary objects off it. ``stats[cid]`` is ``(S, W, N + 1,
+    G)`` of each live cluster, G its current gain.
 
     A cluster that shares no item with ``t`` offers ``(S+s) / pw[W+s] *
     (N+1) - G``, which depends on ``t`` only through its size s. So
@@ -242,7 +235,6 @@ class _Placer:
         self.pw = _powers(m + 1, repulsion)
         self.index: dict[ItemId, dict[int, int]] = {}
         self.stats: dict[int, tuple[int, int, int, float]] = {}
-        self.clusters: dict[int, ClusterSummary] = {}
         self.disjoint: dict[int, list[float]] = {s: [] for s in sizes}
         self.fresh = {s: _gain(s, s, 1, repulsion) for s in self.disjoint}
         self.cids: list[int] = []
@@ -301,8 +293,7 @@ class _Placer:
             # t stays in its home: the home's delta is its gain minus the gain
             # it would have without t
             S, W, N1, G = stats[home]
-            occ = self.clusters[home].occ
-            ones = sum(occ[item] == 1 for item in items)
+            ones = sum(self.index[item][home] == 1 for item in items)
             d = G - _gain(S - s, W - ones, N1 - 2, self.r)
             if d >= best:
                 best, best_cid = d, home
@@ -311,49 +302,61 @@ class _Placer:
         return best_cid
 
     def add(self, cid: int, t: Transaction) -> None:
-        summary = self.clusters.get(cid)
-        if summary is None:
-            summary = self.clusters[cid] = ClusterSummary()
+        if cid not in self.stats:
+            self.stats[cid] = (0, 0, 1, 0.0)
             self.cids.append(cid)
             for column in self.disjoint.values():
                 column.append(-math.inf)
+        S, W, N1, _ = self.stats[cid]
         index = self.index
         for item in t.items:
             row = index.get(item)
             if row is None:
-                index[item] = {cid: 1}
+                row = index[item] = {}
+            if cid in row:
+                row[cid] += 1
             else:
-                row[cid] = row.get(cid, 0) + 1
-        summary.add(t)
-        self._restat(cid, summary)
+                row[cid] = 1
+                W += 1
+        self._restat(cid, S + len(t.items), W, N1 + 1)
 
     def remove(self, cid: int, t: Transaction) -> None:
-        summary = self.clusters[cid]
+        S, W, N1, _ = self.stats[cid]
         index = self.index
         for item in t.items:
             row = index[item]
             count = row[cid]
             if count == 1:
                 del row[cid]
+                W -= 1
             else:
                 row[cid] = count - 1
-        summary.remove(t)
-        if summary.members == 0:
-            del self.clusters[cid], self.stats[cid]
+        if N1 == 2:
+            del self.stats[cid]
             slot = bisect_left(self.cids, cid)
             del self.cids[slot]
             for column in self.disjoint.values():
                 del column[slot]
         else:
-            self._restat(cid, summary)
+            self._restat(cid, S - len(t.items), W, N1 - 1)
 
-    def _restat(self, cid: int, summary: ClusterSummary) -> None:
-        S, W, N1, G = self.stats[cid] = (summary.occurrences, len(summary.occ),
-                                         summary.members + 1, summary.gain(self.r))
+    def _restat(self, cid: int, S: int, W: int, N1: int) -> None:
+        G = _gain(S, W, N1 - 1, self.r)
+        self.stats[cid] = (S, W, N1, G)
         slot = bisect_left(self.cids, cid)
         delta = self._delta
         for s, column in self.disjoint.items():
             column[slot] = delta(S + s, W + s, N1, G)
+
+    def summaries(self) -> dict[int, ClusterSummary]:
+        """The ClusterSummary of each live cluster, in ascending id."""
+        summaries = {cid: ClusterSummary() for cid in self.cids}
+        for item, row in self.index.items():
+            for cid, count in row.items():
+                summaries[cid].occ[item] = count
+        for cid, (S, _, N1, _) in self.stats.items():
+            summaries[cid].occurrences, summaries[cid].members = S, N1 - 1
+        return summaries
 
 
 def clope_cluster(
@@ -379,7 +382,6 @@ def clope_cluster(
 
     transactions = db.transactions
     placer = _Placer(db.m, {len(t.items) for t in transactions}, repulsion)
-    clusters = placer.clusters
     assignment = [0] * db.n
     fresh_ids = itertools.count()
 
@@ -392,7 +394,7 @@ def clope_cluster(
         assignment[t.tid] = cid
     seconds_add = time.perf_counter() - started
 
-    profits = [_profit_of(clusters, repulsion)]
+    profits = [_profit_of(placer.summaries(), repulsion)]
     moves_per_pass: list[int] = []
 
     started = time.perf_counter()
@@ -410,7 +412,7 @@ def clope_cluster(
             assignment[t.tid] = cid
             moves += 1
         moves_per_pass.append(moves)
-        profits.append(_profit_of(clusters, repulsion))
+        profits.append(_profit_of(placer.summaries(), repulsion))
         if profits[-1] < profits[-2] - PROFIT_RTOL * max(1.0, abs(profits[-2])):
             raise RuntimeError(
                 f"profit decreased across pass {len(moves_per_pass)}: {profits[-2]} -> {profits[-1]}"
@@ -425,7 +427,7 @@ def clope_cluster(
         first_member.setdefault(cid, tid)
     renumber = {cid: new for new, cid in enumerate(sorted(first_member, key=first_member.get))}
     assignment = [renumber[cid] for cid in assignment]
-    clusters = {renumber[cid]: summary for cid, summary in clusters.items()}
+    clusters = {renumber[cid]: summary for cid, summary in placer.summaries().items()}
 
     return Clustering(
         assignment=assignment,

@@ -8,6 +8,7 @@ re-ingests to an identical value.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -28,9 +29,11 @@ class ItemDictionary:
 
     __slots__ = ("_strings", "_ids")
 
-    def __init__(self) -> None:
-        self._strings: list[str] = []
-        self._ids: dict[str, ItemId] = {}
+    def __init__(self, ids: Iterable[tuple[str, ItemId]] = ()) -> None:
+        """``ids``: (distinct normalized item string, id) pairs with ids 0..m-1
+        in order. The id objects are kept, so transactions can share them."""
+        self._ids: dict[str, ItemId] = dict(ids)
+        self._strings: list[str] = list(self._ids)
 
     def __len__(self) -> int:
         return len(self._strings)
@@ -53,16 +56,9 @@ class ItemDictionary:
         name = normalize_item(raw)
         if not name:
             raise ValueError("item string is empty after normalization")
-        return self._intern_normalized(name)
-
-    def _intern_normalized(self, name: str) -> ItemId:
-        # ``name`` is already non-empty and normalized.
-        existing = self._ids.get(name)
-        if existing is not None:
-            return existing
-        item_id = len(self._strings)
-        self._ids[name] = item_id
-        self._strings.append(name)
+        item_id = self._ids.setdefault(name, len(self._strings))
+        if item_id == len(self._strings):
+            self._strings.append(name)
         return item_id
 
     def lookup(self, item_id: ItemId) -> str:
@@ -91,7 +87,7 @@ class Transaction:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.items, self.items[1:])):
+        if not all(map(operator.lt, self.items, self.items[1:])):
             raise ValueError(f"transaction {self.tid}: items not strictly increasing")
 
     def __len__(self) -> int:
@@ -148,21 +144,21 @@ class DatabaseBuilder:
     """
 
     def __init__(self) -> None:
-        self._dictionary = ItemDictionary()
+        self._ids: dict[str, ItemId] = {}
         self._transactions: list[Transaction] = []
 
     def add(self, raw_items: Iterable[str], label: str | None = None) -> bool:
         """Append one transaction. Returns False (and adds nothing) when every
         item normalizes to the empty string."""
-        intern = self._dictionary._intern_normalized
-        ids = {intern(n) for r in raw_items if (n := normalize_item(r))}
+        known = self._ids
+        ids = {known.setdefault(n, len(known)) for r in raw_items if (n := normalize_item(r))}
         if not ids:
             return False
         self._transactions.append(Transaction(len(self._transactions), tuple(sorted(ids)), label))
         return True
 
     def build(self) -> TransactionDatabase:
-        return TransactionDatabase(self._dictionary, tuple(self._transactions))
+        return TransactionDatabase(ItemDictionary(self._ids.items()), tuple(self._transactions))
 
 
 def database_from_items(item_lists: Iterable[Iterable[str]]) -> TransactionDatabase:
@@ -192,12 +188,9 @@ def remap(
     for old, new in id_map.items():
         new_ids[old] = new
         names[new] = db.dictionary.lookup(old)
-    dictionary = ItemDictionary()
-    for name in names:
-        dictionary._intern_normalized(name)
     kept: list[Transaction] = []
     for t in transactions:
         items = tuple([j for i in t.items if (j := new_ids[i]) is not None])
         if items:
             kept.append(Transaction(len(kept), items, t.label))
-    return TransactionDatabase(dictionary, tuple(kept))
+    return TransactionDatabase(ItemDictionary(zip(names, range(len(names)))), tuple(kept))

@@ -44,7 +44,8 @@ def _decoded_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
                 line = line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 # the lines before the bad one come first, as from a text file
-                *before, _ = line[:exc.start].decode("utf-8").split("\r")
+                head = line[:exc.start].decode("utf-8")
+                *before, _ = (head if lineno else head.removeprefix("\ufeff")).split("\r")
                 for lineno, text in enumerate(before, lineno + 1):
                     yield lineno, text
                 raise ParseError(f"line {lineno + 1}: invalid UTF-8 ({exc.reason})") from exc

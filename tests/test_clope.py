@@ -350,12 +350,18 @@ class TestKernelParity:
             cid = rng.randint(0, len(placer.cids))
             placer.add(cid, t)
             homes.append(cid)
-        for t, cid in zip(members[::3], homes[::3]):
-            placer.remove(cid, t)
+        for i in range(0, len(members), 3):
+            placer.remove(homes[i], members[i])
+            homes[i] = None
+        summaries = placer.summaries()
         for s, t in outside.items():
             assert placer.disjoint[s] == [
-                delta_add(placer.clusters[cid], t, r) for cid in placer.cids
+                delta_add(summaries[cid], t, r) for cid in placer.cids
             ]
+        assert list(summaries) == placer.cids == sorted(set(homes) - {None})
+        for cid, summary in summaries.items():
+            kept = [t for t, home in zip(members, homes) if home == cid]
+            assert summary == ClusterSummary.from_transactions(kept)
 
     def test_home_is_kept_out_of_the_disjoint_maximum(self):
         # The home's disjoint delta (t added to it a second time) would beat
@@ -373,8 +379,9 @@ class TestKernelParity:
         placer = _Placer(db.m, {1, 2, 3}, 1.0)
         for cid, member in zip((0, 1, 1), members):
             placer.add(cid, member)
-        assert [delta_add(placer.clusters[cid], t, 1.0) for cid in (0, 1)] == [1.0, 1.0]
-        assert placer.best(t) == best_home(placer.clusters, t, 1.0) == 0
+        summaries = placer.summaries()
+        assert [delta_add(summaries[cid], t, 1.0) for cid in (0, 1)] == [1.0, 1.0]
+        assert placer.best(t) == best_home(summaries, t, 1.0) == 0
 
 
 class TestBruteForce:

@@ -74,6 +74,14 @@ class TestItemDictionary:
         assert d.id_of("ichiro") == 1
         assert d.id_of("unseen") is None
 
+    def test_built_from_pairs_interns_on(self):
+        d = ItemDictionary([("a", 0), ("b c", 1)])
+        assert d.strings() == ("a", "b c")
+        assert d.id_of(" B  C") == 1
+        assert d.intern("a") == 0
+        assert d.intern("D") == 2
+        assert d.lookup(2) == "d"
+
     def test_empty_after_normalization_rejected(self):
         d = ItemDictionary()
         with pytest.raises(ValueError):

@@ -303,6 +303,17 @@ class TestByteOrderMark:
     def test_aol(self):
         self._assert_parses_as_twin(parse_query_log, f"{AOL_HEADER}\r\n1\tq\tt\t\t\r\n")
 
+    @pytest.mark.parametrize("parse, lines", [
+        (parse_transactions, [b"\xef\xbb\xbf\t", b"a", b"\xff"]),
+        (parse_query_log, [b"\xef\xbb\xbfAnonID\tQuery\tQueryTime", b"1\tq\tt", b"2\t\xff\tt"]),
+    ])
+    def test_mark_dropped_before_bad_utf8(self, parse, lines):
+        # With bare CR line ends the whole file is one line element, so the
+        # lines before the bad byte are decoded apart from the rest of it.
+        lf = _outcome(parse, io.BytesIO(b"\n".join(lines) + b"\n"))
+        assert lf[0].startswith("ParseError: line 3: invalid UTF-8")
+        assert _outcome(parse, io.BytesIO(b"\r".join(lines) + b"\r")) == lf
+
     def test_only_one_leading_mark_is_dropped(self):
         db = parse_transactions(["\ufeff\ufeffa\n", "\ufeffb\n"])
         assert db.dictionary.strings() == ("\ufeffa", "\ufeffb")
