@@ -303,9 +303,10 @@ def cleanse(
     retained = sorted(item for item, v in verdict.items() if v == 0)
     id_map = {old: new for new, old in enumerate(retained)}
     cleansed = remap(db, id_map, db.transactions)
+    counts = Counter(verdict.values())
     report = CleansingReport(
-        items_removed_low=sum(1 for v in verdict.values() if v < 0),
-        items_removed_high=sum(1 for v in verdict.values() if v > 0),
+        items_removed_low=counts[-1],
+        items_removed_high=counts[1],
         items_retained=len(retained),
         transactions_removed_empty=db.n - cleansed.n,
         transactions_retained=cleansed.n,

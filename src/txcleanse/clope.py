@@ -26,9 +26,10 @@ whose power overflows takes ``_gain``'s exp/log path). A cluster that shares
 no item offers a delta that depends on the transaction only through its
 size; those deltas are kept per size and cluster and read by one C-level
 ``max``. Per-pass work is O(n * k + sum of overlaps), and every delta is
-bit-identical to ``delta_add``'s. The index is the only occurrence map: each
-pass's profit and ``Clustering.clusters`` are read off it. ``delta_add`` and
-``ClusterSummary`` stay as the oracles the tests compare the kernel against.
+bit-identical to ``delta_add``'s. The index, one row per item id, is the only
+occurrence map: ``Clustering.clusters`` is read off it once, and each pass's
+profit sums the gains G the placer keeps. ``delta_add``, ``ClusterSummary``
+and ``profit`` stay as the oracles the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -195,10 +196,6 @@ class Clustering:
         return [tid for tid, cid in enumerate(self.assignment) if cid == cluster_id]
 
 
-def _profit_of(clusters: dict[int, ClusterSummary], repulsion: float) -> float:
-    return profit([clusters[cid] for cid in sorted(clusters)], repulsion)
-
-
 def _powers(size: int, r: float) -> list:
     """``pw[w] == w ** r`` for w < len(pw); the table stops at ``size`` or at
     the first width whose power overflows a float, whichever comes first."""
@@ -214,11 +211,12 @@ def _powers(size: int, r: float) -> list:
 class _Placer:
     """Incremental CLOPE state and the placement rule over it.
 
-    ``index[item]`` maps each cluster holding ``item`` to its count there, so
-    the clusters sharing an item with a transaction, and their overlaps with
-    it, come from the index rows of its items alone; ``summaries()`` reads the
-    clusters' ClusterSummary objects off it. ``stats[cid]`` is ``(S, W, N + 1,
-    G)`` of each live cluster, G its current gain.
+    ``index[item]``, one row per item id, maps each cluster holding ``item``
+    to its count there, so the clusters sharing an item with a transaction,
+    and their overlaps with it, come from its items' rows alone;
+    ``summaries()`` reads ClusterSummary objects off it. ``stats[cid]`` is
+    ``(S, W, N + 1, G)`` of each live cluster in ascending id, G its current
+    gain, which ``profit()`` sums.
 
     A cluster that shares no item with ``t`` offers ``(S+s) / pw[W+s] *
     (N+1) - G``, which depends on ``t`` only through its size s. So
@@ -233,7 +231,7 @@ class _Placer:
         self.r = repulsion
         # widths never exceed m; wider or overflowing ones take _gain's path
         self.pw = _powers(m + 1, repulsion)
-        self.index: dict[ItemId, dict[int, int]] = {}
+        self.index: list[dict[int, int]] = [{} for _ in range(m)]
         self.stats: dict[int, tuple[int, int, int, float]] = {}
         self.disjoint: dict[int, list[float]] = {s: [] for s in sizes}
         self.fresh = {s: _gain(s, s, 1, repulsion) for s in self.disjoint}
@@ -260,7 +258,7 @@ class _Placer:
         s = len(items)
         stats = self.stats
         # overlap counts, only for the clusters that share an item with t
-        ov = Counter(itertools.chain.from_iterable(filter(None, map(self.index.get, items))))
+        ov = Counter(itertools.chain.from_iterable(map(self.index.__getitem__, items)))
         if home is not None:
             del ov[home]
         best_cid, best = None, -math.inf
@@ -310,9 +308,7 @@ class _Placer:
         S, W, N1, _ = self.stats[cid]
         index = self.index
         for item in t.items:
-            row = index.get(item)
-            if row is None:
-                row = index[item] = {}
+            row = index[item]
             if cid in row:
                 row[cid] += 1
             else:
@@ -348,10 +344,17 @@ class _Placer:
         for s, column in self.disjoint.items():
             column[slot] = delta(S + s, W + s, N1, G)
 
+    def profit(self, n: int) -> float:
+        """Gains summed left to right in ascending id, over n, as ``profit`` sums."""
+        numerator = 0.0
+        for *_, G in self.stats.values():
+            numerator += G
+        return numerator / n
+
     def summaries(self) -> dict[int, ClusterSummary]:
         """The ClusterSummary of each live cluster, in ascending id."""
         summaries = {cid: ClusterSummary() for cid in self.cids}
-        for item, row in self.index.items():
+        for item, row in enumerate(self.index):
             for cid, count in row.items():
                 summaries[cid].occ[item] = count
         for cid, (S, _, N1, _) in self.stats.items():
@@ -376,9 +379,13 @@ def clope_cluster(
         raise ValueError("max_passes must be >= 1")
     if db.n == 0:
         raise ValueError("cannot cluster an empty database")
-    for t in db.transactions:
-        if len(t.items) == 0:
+    for tid, t in enumerate(db.transactions):
+        if t.tid != tid:
+            raise ValueError(f"transaction {t.tid} is at position {tid}; tids must be positions")
+        if not t.items:
             raise ValueError(f"transaction {t.tid} is empty; cleanse before clustering")
+        if t.items[0] < 0 or t.items[-1] >= db.m:
+            raise ValueError(f"transaction {t.tid} has an item id outside 0..{db.m - 1}")
 
     transactions = db.transactions
     placer = _Placer(db.m, {len(t.items) for t in transactions}, repulsion)
@@ -394,7 +401,7 @@ def clope_cluster(
         assignment[t.tid] = cid
     seconds_add = time.perf_counter() - started
 
-    profits = [_profit_of(placer.summaries(), repulsion)]
+    profits = [placer.profit(db.n)]
     moves_per_pass: list[int] = []
 
     started = time.perf_counter()
@@ -412,7 +419,7 @@ def clope_cluster(
             assignment[t.tid] = cid
             moves += 1
         moves_per_pass.append(moves)
-        profits.append(_profit_of(placer.summaries(), repulsion))
+        profits.append(placer.profit(db.n))
         if profits[-1] < profits[-2] - PROFIT_RTOL * max(1.0, abs(profits[-2])):
             raise RuntimeError(
                 f"profit decreased across pass {len(moves_per_pass)}: {profits[-2]} -> {profits[-1]}"

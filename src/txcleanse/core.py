@@ -25,15 +25,14 @@ def normalize_item(raw: str) -> str:
 
 
 class ItemDictionary:
-    """Bijection between item strings and dense ids 0..m-1 in first-seen order."""
+    """Item strings in id order: an item's id is the position of its
+    normalized string, so ids are dense 0..m-1 in first-seen order."""
 
-    __slots__ = ("_strings", "_ids")
+    __slots__ = ("_strings",)
 
-    def __init__(self, ids: Iterable[tuple[str, ItemId]] = ()) -> None:
-        """``ids``: (distinct normalized item string, id) pairs with ids 0..m-1
-        in order. The id objects are kept, so transactions can share them."""
-        self._ids: dict[str, ItemId] = dict(ids)
-        self._strings: list[str] = list(self._ids)
+    def __init__(self, strings: Iterable[str] = ()) -> None:
+        """``strings``: the distinct normalized item strings, in id order."""
+        self._strings: tuple[str, ...] = tuple(strings)
 
     def __len__(self) -> int:
         return len(self._strings)
@@ -46,31 +45,19 @@ class ItemDictionary:
     def __repr__(self) -> str:
         return f"ItemDictionary({len(self._strings)} items)"
 
-    def intern(self, raw: str) -> ItemId:
-        """Return the id for the normalized form of ``raw``, assigning the next
-        dense id on first sight.
-
-        Raises ValueError if the string is empty after normalization; parsers
-        screen such items out before interning.
-        """
-        name = normalize_item(raw)
-        if not name:
-            raise ValueError("item string is empty after normalization")
-        item_id = self._ids.setdefault(name, len(self._strings))
-        if item_id == len(self._strings):
-            self._strings.append(name)
-        return item_id
-
     def lookup(self, item_id: ItemId) -> str:
         return self._strings[item_id]
 
     def id_of(self, raw: str) -> ItemId | None:
-        """Id of an already-interned item, or None."""
-        return self._ids.get(normalize_item(raw))
+        """Id of a known item, or None: a linear scan, kept for tests and inspection."""
+        try:
+            return self._strings.index(normalize_item(raw))
+        except ValueError:
+            return None
 
     def strings(self) -> tuple[str, ...]:
         """All item strings in id order."""
-        return tuple(self._strings)
+        return self._strings
 
 
 @dataclass(frozen=True)
@@ -128,7 +115,7 @@ class TransactionDatabase:
 
     def item_strings(self, t: Transaction) -> list[str]:
         """Item strings of one transaction, in id order."""
-        return [self.dictionary.lookup(i) for i in t.items]
+        return list(map(self.dictionary.strings().__getitem__, t.items))
 
     def total_occurrences(self) -> int:
         """Sum of |T| over all transactions."""
@@ -158,7 +145,7 @@ class DatabaseBuilder:
         return True
 
     def build(self) -> TransactionDatabase:
-        return TransactionDatabase(ItemDictionary(self._ids.items()), tuple(self._transactions))
+        return TransactionDatabase(ItemDictionary(self._ids), tuple(self._transactions))
 
 
 def database_from_items(item_lists: Iterable[Iterable[str]]) -> TransactionDatabase:
@@ -193,4 +180,4 @@ def remap(
         items = tuple([j for i in t.items if (j := new_ids[i]) is not None])
         if items:
             kept.append(Transaction(len(kept), items, t.label))
-    return TransactionDatabase(ItemDictionary(zip(names, range(len(names)))), tuple(kept))
+    return TransactionDatabase(ItemDictionary(names), tuple(kept))

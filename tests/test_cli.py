@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -324,20 +325,66 @@ print(json.dumps({"code": code, "imported": sorted(set(sys.modules) - before)}))
 """
 
 
-def test_pipeline_imports_no_third_party_module(noise1_file, tmp_path):
+def _src_env(**extra: str) -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_pipeline_imports_no_third_party_module(noise1_file, tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, "pipeline", str(noise1_file),
          "--dist", "exponential", "--out-dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, check=True,
+        env=_src_env(), capture_output=True, text=True, check=True,
     )
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe["code"] == 0
     imported = {name.partition(".")[0] for name in probe["imported"]}
     assert "jsonschema" not in imported
     assert imported - set(sys.stdlib_module_names) == {"txcleanse"}
+
+
+def _aol_log(path: Path) -> None:
+    rng = random.Random(3)
+    words = [f"Topic {i}  Word{j}" for i in range(12) for j in range(4)]
+    rows = ["AnonID\tQuery\tQueryTime\tItemRank\tClickURL"]
+    for user in rng.sample(range(1000, 9999), 80):
+        topic = rng.randrange(12)
+        for _ in range(rng.randint(1, 8)):
+            query = words[4 * topic + rng.randrange(4)] if rng.random() < 0.8 else rng.choice(words)
+            rows.append(f"{user}\t{query.upper() if rng.random() < 0.3 else query}\tt\t\t")
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["generic", "aol"])
+def test_pipeline_outputs_do_not_depend_on_the_string_hash_seed(tmp_path, fmt):
+    if fmt == "generic":
+        assert main(["synth", "--transactions", "300", "--clusters", "6", "--noise-rate", "0.2",
+                     "--ubiquitous", "2", "--seed", "4", "--out-dir", str(tmp_path)]) == 0
+        data = tmp_path / "synthetic.tsv"
+    else:
+        data = tmp_path / "queries.tsv"
+        _aol_log(data)
+
+    def without_times(value):
+        if isinstance(value, dict):
+            return {k: without_times(v) for k, v in value.items()
+                    if k not in ("seconds", "time_ratio")}
+        return value
+
+    outputs = []
+    out = tmp_path / "out"
+    for seed in ("0", "1"):
+        subprocess.run(
+            [sys.executable, "-m", "txcleanse.cli", "pipeline", str(data), "--format", fmt,
+             "--dist", "exponential", "--s", "0.5", "--out-dir", str(out)],
+            env=_src_env(PYTHONHASHSEED=seed), capture_output=True, check=True,
+        )
+        report = json.loads((out / "pipeline_report.json").read_text())
+        assert report["arms"]["cleansed"]["k"] > 1
+        outputs.append(((out / "assignment_raw.csv").read_bytes(),
+                        (out / "assignment_cleansed.csv").read_bytes(), without_times(report)))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("fmt, text", [

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from conftest import letters_db, random_db
 from txcleanse import (
     ClusterSummary,
+    ItemDictionary,
+    Transaction,
+    TransactionDatabase,
     brute_force_best,
     clope_cluster,
     database_from_items,
@@ -164,12 +167,20 @@ class TestClopeCluster:
             clope_cluster(database_from_items([]), 1.5)
 
     def test_empty_transaction_rejected(self):
-        from txcleanse import ItemDictionary, Transaction, TransactionDatabase
-
-        d = ItemDictionary()
-        d.intern("a")
-        db = TransactionDatabase(d, (Transaction(0, (0,)), Transaction(1, ())))
+        db = TransactionDatabase(ItemDictionary(["a"]), (Transaction(0, (0,)), Transaction(1, ())))
         with pytest.raises(ValueError, match="empty"):
+            clope_cluster(db, 1.5)
+
+    @pytest.mark.parametrize("transactions, named", [
+        (((5, (0,)), (6, (1,))), "transaction 5 is at position 0"),
+        (((0, (0,)), (0, (1,))), "transaction 0 is at position 1"),
+        (((0, (0, 1)), (1, (0, 7))), r"transaction 1 has an item id outside 0\.\.1"),
+        (((0, (0, 1)), (1, (-1, 0))), r"transaction 1 has an item id outside 0\.\.1"),
+    ], ids=["tids-from-5", "tid-0-twice", "item-past-m", "negative-item"])
+    def test_malformed_database_rejected(self, transactions, named):
+        db = TransactionDatabase(ItemDictionary(["a", "b"]),
+                                 tuple(Transaction(tid, items) for tid, items in transactions))
+        with pytest.raises(ValueError, match=named):
             clope_cluster(db, 1.5)
 
     def test_determinism(self):
@@ -353,6 +364,8 @@ class TestKernelParity:
         for i in range(0, len(members), 3):
             placer.remove(homes[i], members[i])
             homes[i] = None
+        assert len(placer.index) == db.m
+        assert all(all(row.values()) for row in placer.index)
         summaries = placer.summaries()
         for s, t in outside.items():
             assert placer.disjoint[s] == [

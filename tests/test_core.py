@@ -50,42 +50,46 @@ def test_normalize_item_matches_regex(raw):
 
 
 class TestItemDictionary:
+    # Ids are handed out by DatabaseBuilder; the dictionary is their strings.
     def test_first_insertion_gets_id_zero(self):
-        d = ItemDictionary()
-        assert d.intern("disneyland") == 0
+        db = database_from_items([["disneyland"]])
+        assert db.transactions[0].items == (0,)
+        assert db.dictionary.lookup(0) == "disneyland"
 
     def test_reintern_is_idempotent(self):
-        d = ItemDictionary()
-        assert d.intern("disneyland") == 0
-        assert d.intern("disneyland") == 0
-        assert d.intern(" Disneyland ") == 0
-        assert len(d) == 1
+        db = database_from_items([["disneyland"], ["disneyland"], [" Disneyland "]])
+        assert [t.items for t in db] == [(0,), (0,), (0,)]
+        assert len(db.dictionary) == 1
 
     def test_dense_next_id(self):
-        d = ItemDictionary()
-        for i, word in enumerate(["a", "b", "c", "d", "e"]):
-            assert d.intern(word) == i
-        assert d.intern("ichiro") == 5
+        b = DatabaseBuilder()
+        b.add(["a", "b", "c"])
+        b.add(["d", "e", "a"])
+        b.add(["ichiro", "c"])
+        db = b.build()
+        assert [t.items for t in db] == [(0, 1, 2), (0, 3, 4), (2, 5)]
+        assert db.dictionary.strings() == ("a", "b", "c", "d", "e", "ichiro")
 
     def test_lookup_roundtrip(self):
-        d = ItemDictionary()
-        for word in ["major league", "ichiro", "baseball cap"]:
-            assert d.lookup(d.intern(word)) == word
+        words = ["major league", "ichiro", "baseball cap"]
+        d = database_from_items([words]).dictionary
+        assert [d.lookup(d.id_of(word)) for word in words] == words
         assert d.id_of("ichiro") == 1
         assert d.id_of("unseen") is None
 
-    def test_built_from_pairs_interns_on(self):
-        d = ItemDictionary([("a", 0), ("b c", 1)])
+    def test_built_from_strings(self):
+        d = ItemDictionary(["a", "b c"])
         assert d.strings() == ("a", "b c")
+        assert d.strings() is d.strings()
+        assert d.lookup(1) == "b c"
         assert d.id_of(" B  C") == 1
-        assert d.intern("a") == 0
-        assert d.intern("D") == 2
-        assert d.lookup(2) == "d"
+        assert d.id_of("d") is None
+        assert d == ItemDictionary(("a", "b c")) != ItemDictionary(["b c", "a"])
 
     def test_empty_after_normalization_rejected(self):
-        d = ItemDictionary()
-        with pytest.raises(ValueError):
-            d.intern("   ")
+        b = DatabaseBuilder()
+        assert b.add(["   "]) is False
+        assert len(b.build().dictionary) == 0
 
 
 class TestTransaction:
