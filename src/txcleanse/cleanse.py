@@ -111,6 +111,14 @@ def fit_exponential(hist: Marginal) -> tuple[float, float]:
     return mean, mean
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, but inf where the result would overflow a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Band:
     """A retention band: an item is kept iff its frequency lies inside it.
@@ -177,11 +185,11 @@ class Band:
 
     @property
     def lower(self) -> float:
-        return math.exp(self.lo) if self.log_space else self.lo
+        return _exp(self.lo) if self.log_space else self.lo
 
     @property
     def upper(self) -> float:
-        return math.exp(self.hi) if self.log_space else self.hi
+        return _exp(self.hi) if self.log_space else self.hi
 
     def classify(self, frequency: float) -> int:
         """-1 below the band, 0 inside or on an endpoint, +1 above."""
@@ -285,8 +293,12 @@ class CleansingReport:
 def cleanse(
     db: TransactionDatabase,
     band: Band,
+    hist: FrequencyHistogram | None = None,
 ) -> tuple[TransactionDatabase, CleansingReport]:
     """Remove out-of-band items everywhere, then prune emptied transactions.
+
+    ``hist`` must be ``item_frequencies(db)``; a caller that has already
+    counted it for the fit passes it here, and it is counted when omitted.
 
     The result is an order-preserving id remap of ``db``: each retained item
     gets as new id its rank among the retained old ids (``report.id_map``),
@@ -298,7 +310,9 @@ def cleanse(
     changes another item's frequency, so a second cleanse with the same band
     is a no-op.
     """
-    freq = item_frequencies(db).per_item
+    if hist is None:
+        hist = item_frequencies(db)
+    freq = hist.per_item
     verdict = {item: band.classify(f) for item, f in freq.items()}
     retained = sorted(item for item, v in verdict.items() if v == 0)
     id_map = {old: new for new, old in enumerate(retained)}

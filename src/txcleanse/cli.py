@@ -24,6 +24,8 @@ from .cleanse import (
     EXPONENTIAL,
     KINDS,
     LOGNORMAL,
+    Band,
+    FrequencyHistogram,
     ManualBand,
     cleanse as cleanse_database,
     fit_distribution,
@@ -131,11 +133,16 @@ def load_database(path: str | Path, fmt: str, delimiter: str = "\t",
     return db
 
 
-def _band_from_config(db: TransactionDatabase, config: PipelineConfig):
+def _band_from_config(db: TransactionDatabase,
+                      config: PipelineConfig) -> tuple[Band, FrequencyHistogram]:
+    """The band to cleanse ``db`` with, and ``item_frequencies(db)``, which
+    the fit reads and ``cleanse`` takes, counted once for both."""
+    hist = item_frequencies(db)
     if config.manual_lower is None and config.manual_upper is None:
-        hist = item_frequencies(db)
-        return fit_distribution(hist, config.distribution, config.s, raw_band=config.raw_band)
-    return ManualBand(config.manual_lower, config.manual_upper)
+        band = fit_distribution(hist, config.distribution, config.s, raw_band=config.raw_band)
+    else:
+        band = ManualBand(config.manual_lower, config.manual_upper)
+    return band, hist
 
 
 def write_assignment_csv(clustering: clope.Clustering, path: Path) -> None:
@@ -184,8 +191,8 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
             arm_db = db
             if arm_name == "cleansed":
                 started = time.perf_counter()
-                band = _band_from_config(db, config)
-                arm_db, cleansing = cleanse_database(db, band)
+                band, hist = _band_from_config(db, config)
+                arm_db, cleansing = cleanse_database(db, band, hist)
                 seconds["cleanse"] = time.perf_counter() - started
                 arm["cleansing"] = cleansing.to_json_dict()
                 if arm_db.n == 0:
@@ -277,8 +284,8 @@ def cmd_cleanse(config: PipelineConfig, args: argparse.Namespace) -> int:
     db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
     if db.m == 0:
         raise EmptyInputError("no items to fit")
-    band = _band_from_config(db, config)
-    cleansed, report = cleanse_database(db, band)
+    band, hist = _band_from_config(db, config)
+    cleansed, report = cleanse_database(db, band, hist)
     if cleansed.n == 0:
         print(EMPTY_CLEANSE, file=sys.stderr)
         return EXIT_ARM_FAILURE

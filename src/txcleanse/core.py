@@ -60,7 +60,7 @@ class ItemDictionary:
         return self._strings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A duplicate-free item set with a positional id.
 
@@ -136,9 +136,20 @@ class DatabaseBuilder:
 
     def add(self, raw_items: Iterable[str], label: str | None = None) -> bool:
         """Append one transaction. Returns False (and adds nothing) when every
-        item normalizes to the empty string."""
+        item normalizes to the empty string.
+
+        The dictionary's keys are normalized strings, and ``normalize_item``
+        is idempotent, so a raw item that already is a key normalizes to
+        itself and keeps that key's id. When every raw item is a key, those
+        ids are final and nothing is normalized; otherwise every item is
+        normalized and interned in input order, as if none were known.
+        """
         known = self._ids
-        ids = {known.setdefault(n, len(known)) for r in raw_items if (n := normalize_item(r))}
+        if not isinstance(raw_items, list):
+            raw_items = list(raw_items)
+        ids = set(map(known.get, raw_items))
+        if None in ids:
+            ids = {known.setdefault(n, len(known)) for r in raw_items if (n := normalize_item(r))}
         if not ids:
             return False
         self._transactions.append(Transaction(len(self._transactions), tuple(sorted(ids)), label))

@@ -91,9 +91,11 @@ def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t") -> It
 
 
 def write_transactions(db: TransactionDatabase, path, delimiter: str = "\t") -> None:
+    """Write the lines of ``serialize_transactions(db, delimiter)``, each ended by ``\\n``."""
+    strings = db.dictionary.strings()
     with open(path, "w", encoding="utf-8") as fh:
-        for line in serialize_transactions(db, delimiter):
-            fh.write(line + "\n")
+        fh.writelines(delimiter.join(map(strings.__getitem__, t.items)) + "\n"
+                      for t in db.transactions)
 
 
 @dataclass(frozen=True)

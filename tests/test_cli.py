@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -300,6 +301,60 @@ def test_cleansed_arm_that_kept_nothing_reports_its_cleansing(noise1_file, tmp_p
     assert cleansing["items_retained"] == 0
     assert cleansing["transactions_retained"] == 0
     assert cleansing["fit"] == {"kind": "manual", "lower": 10000.0, "upper": 20000.0}
+
+
+@pytest.mark.parametrize("band", [["--dist", "exponential", "--s", "0.5"],
+                                  ["--lower", "2", "--upper", "inf"]],
+                         ids=["fitted", "manual"])
+@pytest.mark.parametrize("command", ["cleanse", "pipeline"])
+def test_item_frequencies_counted_once(noise1_file, tmp_path, monkeypatch, command, band):
+    from txcleanse import cli
+    cleanse_module = importlib.import_module("txcleanse.cleanse")
+    original = cleanse_module.item_frequencies
+    calls = []
+
+    def counted(db):
+        calls.append(db)
+        return original(db)
+
+    for module in (cli, cleanse_module):
+        monkeypatch.setattr(module, "item_frequencies", counted)
+    assert main([command, str(noise1_file), *band, "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def _three_line_file(tmp_path) -> Path:
+    path = tmp_path / "three.tsv"
+    path.write_text("a\tb\na\nc\n", encoding="utf-8")
+    return path
+
+
+def test_fit_with_overflowing_upper_endpoint_reports_inf(tmp_path, capsys):
+    # ln-space upper endpoint about 3e307: exp() of it overflows a float
+    assert main(["fit", str(_three_line_file(tmp_path)), "--s", "1e308"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["upper"] == math.inf
+    assert payload["lower"] == 0.0
+    assert payload["items_inside"] == 3
+
+
+def test_cleanse_with_overflowing_upper_endpoint_reports_inf(tmp_path):
+    out = tmp_path / "out"
+    assert main(["cleanse", str(_three_line_file(tmp_path)), "--s", "1e308",
+                 "--out-dir", str(out)]) == 0
+    report = json.loads((out / "cleanse_report.json").read_text())
+    assert report["fit"]["upper"] == math.inf
+    assert report["items_retained"] == 3
+    assert (out / "cleansed.tsv").read_text() == "a\tb\na\nc\n"
+
+
+def test_pipeline_with_overflowing_upper_endpoint_reports_inf(tmp_path):
+    out = tmp_path / "out"
+    assert main(["pipeline", str(_three_line_file(tmp_path)), "--s", "1e308",
+                 "--out-dir", str(out)]) == 0
+    arm = json.loads((out / "pipeline_report.json").read_text())["arms"]["cleansed"]
+    assert arm["status"] == "ok"
+    assert arm["cleansing"]["fit"]["upper"] == math.inf
 
 
 def test_report_check_refuses_a_wrong_shape(tmp_path_factory):

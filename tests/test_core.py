@@ -9,6 +9,8 @@ from txcleanse import (
     DatabaseBuilder,
     ItemDictionary,
     Transaction,
+    TransactionDatabase,
+    core,
     database_from_items,
     item_frequencies,
     normalize_item,
@@ -47,6 +49,16 @@ def test_normalize_item_matches_regex_on_every_code_point():
 @given(st.text(st.sampled_from(WHITESPACE) | st.characters()))
 def test_normalize_item_matches_regex(raw):
     assert normalize_item(raw) == regex_normalize(raw)
+
+
+def test_normalize_item_is_idempotent_on_every_code_point():
+    # DatabaseBuilder.add skips normalizing items that already are dictionary
+    # keys; that is exact only if a normalized string normalizes to itself.
+    # "Σ" + c puts each code point where a final sigma may follow.
+    for wrap in ("{}", "A{}B", "Σ{}"):
+        mismatch = next((raw for raw in map(wrap.format, EVERY_CODE_POINT)
+                         if normalize_item(n := normalize_item(raw)) != n), None)
+        assert mismatch is None
 
 
 class TestItemDictionary:
@@ -109,6 +121,17 @@ class TestTransaction:
 
 
 class TestDatabaseBuilder:
+    def test_known_items_are_not_normalized_again(self, monkeypatch):
+        b = DatabaseBuilder()
+        b.add(["a", "b", "c"])
+        calls = []
+        monkeypatch.setattr(core, "normalize_item", lambda raw: calls.append(raw) or raw)
+        b.add(["c", "a"])
+        assert calls == []
+        monkeypatch.undo()
+        b.add(["A", "b"])
+        assert [t.items for t in b.build()] == [(0, 1, 2), (0, 2), (0, 1)]
+
     def test_duplicates_within_transaction_dropped(self):
         db = database_from_items([["a", "a", "b"]])
         assert [len(t) for t in db] == [2]
@@ -155,3 +178,40 @@ def test_occurrence_conservation(item_lists):
     assert sum(hist.per_item.values()) == db.total_occurrences()
     assert hist.item_count == db.m
     assert sum(count for _, count in hist.marginal) == db.m
+
+
+def set_comprehension_database(item_lists) -> TransactionDatabase:
+    """The builder before its known-item fast path: every raw item is
+    normalized, then interned in input order."""
+    known: dict[str, int] = {}
+    transactions = []
+    for raw_items in item_lists:
+        ids = {known.setdefault(n, len(known)) for r in raw_items if (n := normalize_item(r))}
+        if ids:
+            transactions.append(Transaction(len(transactions), tuple(sorted(ids))))
+    return TransactionDatabase(ItemDictionary(known), tuple(transactions))
+
+
+# Normalized strings, their case and whitespace respellings, and items that
+# normalize to nothing; duplicates come from drawing the same spelling twice.
+_WORDS = ("a", "b", "ab", "a b", "σ", "ß", "straße")
+_SPELLINGS = (
+    lambda w: w,
+    str.upper,
+    str.title,
+    lambda w: f" {w}\t",
+    lambda w: w.replace(" ", " \u3000 "),
+    lambda w: "",
+    lambda w: " \n ",
+)
+_spelled_item = st.builds(lambda w, spell: spell(w), st.sampled_from(_WORDS),
+                          st.sampled_from(_SPELLINGS))
+
+
+@given(st.lists(st.lists(_spelled_item | st.text(max_size=3), max_size=6), max_size=12))
+def test_builder_matches_set_comprehension_oracle(item_lists):
+    db = database_from_items(item_lists)
+    expected = set_comprehension_database(item_lists)
+    assert db.dictionary.strings() == expected.dictionary.strings()
+    assert [t.items for t in db] == [t.items for t in expected]
+    assert db == expected

@@ -14,6 +14,7 @@ from txcleanse import (
     serialize_transactions,
     sessionize,
     truncate,
+    write_transactions,
 )
 from txcleanse.core import database_from_items
 
@@ -91,6 +92,16 @@ class TestRoundTrip:
         db = database_from_items(item_lists)
         again = parse_transactions(serialize_transactions(db))
         assert again == db
+
+    @pytest.mark.parametrize("delimiter, text", [
+        ("\t", "b\ta\nc\tx\nx\n"), (", ", "b, a\nc, x\nx\n"),
+    ])
+    def test_written_file_is_the_serialized_lines(self, tmp_path, delimiter, text):
+        db = parse_transactions(["b\ta", "C\t x ", "x"])
+        path = tmp_path / "db.txt"
+        write_transactions(db, path, delimiter)
+        assert path.read_text(encoding="utf-8") == text
+        assert "".join(line + "\n" for line in serialize_transactions(db, delimiter)) == text
 
 
 class TestParseQueryLog:

@@ -115,6 +115,15 @@ def test_cleanse_matches_string_rebuild(lines, manual, fit_args, use_fit):
 
 
 @settings(max_examples=300)
+@given(st.lists(_line, max_size=12), _manual_band, _fit_args, st.booleans())
+def test_cleanse_with_the_fit_histogram_equals_cleanse(lines, manual, fit_args, use_fit):
+    db = _keyword_db(lines)
+    hist = item_frequencies(db)
+    band = fit_distribution(hist, *fit_args) if use_fit and db.m else manual
+    assert cleanse(db, band, hist) == cleanse(db, band)
+
+
+@settings(max_examples=300)
 @given(st.lists(_line, max_size=12), st.integers(min_value=1, max_value=14))
 def test_truncate_matches_string_rebuild(lines, limit):
     db = _keyword_db(lines)
