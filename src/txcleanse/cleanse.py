@@ -299,6 +299,7 @@ def cleanse(
 
     ``hist`` must be ``item_frequencies(db)``; a caller that has already
     counted it for the fit passes it here, and it is counted when omitted.
+    A ``hist`` whose item count is not ``db.m`` raises ``ValueError``.
 
     The result is an order-preserving id remap of ``db``: each retained item
     gets as new id its rank among the retained old ids (``report.id_map``),
@@ -312,6 +313,9 @@ def cleanse(
     """
     if hist is None:
         hist = item_frequencies(db)
+    elif hist.item_count != db.m:
+        raise ValueError(f"hist counts {hist.item_count} items but db has {db.m}: "
+                         "it must be item_frequencies(db)")
     freq = hist.per_item
     verdict = {item: band.classify(f) for item, f in freq.items()}
     retained = sorted(item for item, v in verdict.items() if v == 0)

@@ -86,16 +86,15 @@ def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t") -> It
 
     ``parse_transactions(serialize_transactions(db))`` reproduces ``db``.
     """
+    strings = db.dictionary.strings()
     for t in db.transactions:
-        yield delimiter.join(db.item_strings(t))
+        yield delimiter.join(map(strings.__getitem__, t.items))
 
 
 def write_transactions(db: TransactionDatabase, path, delimiter: str = "\t") -> None:
     """Write the lines of ``serialize_transactions(db, delimiter)``, each ended by ``\\n``."""
-    strings = db.dictionary.strings()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(delimiter.join(map(strings.__getitem__, t.items)) + "\n"
-                      for t in db.transactions)
+        fh.writelines(line + "\n" for line in serialize_transactions(db, delimiter))
 
 
 @dataclass(frozen=True)

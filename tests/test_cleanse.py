@@ -209,6 +209,12 @@ class TestCleanse:
         assert cleansed.n == 3
         assert all(len(t) >= 1 for t in cleansed)
 
+    def test_histogram_of_another_database_rejected(self):
+        db = database_from_items([["a", "b"], ["b"]])
+        other = item_frequencies(database_from_items([["a", "b", "c"]]))
+        with pytest.raises(ValueError, match="item_frequencies"):
+            cleanse(db, ManualBand(1, 2), other)
+
     def test_empty_database(self):
         cleansed, report = cleanse(database_from_items([]), ManualBand(1, 2))
         assert cleansed.n == 0

@@ -51,6 +51,7 @@ def test_normalize_item_matches_regex(raw):
     assert normalize_item(raw) == regex_normalize(raw)
 
 
+@pytest.mark.slow
 def test_normalize_item_is_idempotent_on_every_code_point():
     # DatabaseBuilder.add skips normalizing items that already are dictionary
     # keys; that is exact only if a normalized string normalizes to itself.
