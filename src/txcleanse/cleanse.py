@@ -319,9 +319,12 @@ def cleanse(
     freq = hist.per_item
     verdict = {item: band.classify(f) for item, f in freq.items()}
     retained = sorted(item for item, v in verdict.items() if v == 0)
+    counts = Counter(verdict.values())
+    # remap's copy of the database is the run's memory peak: free the
+    # m-entry verdict dict before it.
+    del verdict
     id_map = {old: new for new, old in enumerate(retained)}
     cleansed = remap(db, id_map, db.transactions)
-    counts = Counter(verdict.values())
     report = CleansingReport(
         items_removed_low=counts[-1],
         items_removed_high=counts[1],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -416,7 +417,11 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
                      help="refinement pass cap, >= 1 (default: 20)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it
+    unchanged, and each build would leave a few hundred objects of cyclic
+    garbage behind."""
     parser = argparse.ArgumentParser(
         prog="txcleanse",
         description="Frequency-band cleansing and profit-driven clustering "

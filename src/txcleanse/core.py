@@ -67,6 +67,12 @@ class Transaction:
     ``items`` is strictly increasing, so set equality equals tuple equality.
     ``label`` carries an external tag (e.g. the URL of a keyword-registration
     line) and never participates in similarity or clustering.
+
+    The constructor checks that order, which guards hand-built instances.
+    ``DatabaseBuilder.add`` and ``remap`` skip it through ``_sorted_transaction``:
+    the builder sorts a set of ids and ``remap`` maps an increasing tuple
+    through an order-preserving id map, so their items are increasing by
+    construction and the check would only repeat work on every transaction.
     """
 
     tid: int
@@ -85,6 +91,23 @@ class Transaction:
 
     def item_set(self) -> set[ItemId]:
         return set(self.items)
+
+
+# The slots' member descriptors write past the frozen dataclass's __setattr__.
+_new_object = object.__new__
+_set_tid = Transaction.tid.__set__
+_set_items = Transaction.items.__set__
+_set_label = Transaction.label.__set__
+
+
+def _sorted_transaction(tid: int, items: tuple[ItemId, ...], label: str | None) -> Transaction:
+    """Transaction whose ``items`` the caller guarantees strictly increasing:
+    the slots are set directly, so ``__post_init__``'s check is skipped."""
+    t = _new_object(Transaction)
+    _set_tid(t, tid)
+    _set_items(t, items)
+    _set_label(t, label)
+    return t
 
 
 @dataclass(frozen=True)
@@ -141,18 +164,25 @@ class DatabaseBuilder:
         The dictionary's keys are normalized strings, and ``normalize_item``
         is idempotent, so a raw item that already is a key normalizes to
         itself and keeps that key's id. When every raw item is a key, those
-        ids are final and nothing is normalized; otherwise every item is
-        normalized and interned in input order, as if none were known.
+        ids are final. Otherwise only the raw items that are not keys are
+        normalized, and new items are interned in input order; since ``""``
+        is never a key, the ids are those of normalizing every item.
         """
         known = self._ids
         if not isinstance(raw_items, list):
             raw_items = list(raw_items)
         ids = set(map(known.get, raw_items))
         if None in ids:
-            ids = {known.setdefault(n, len(known)) for r in raw_items if (n := normalize_item(r))}
+            ids = {
+                known[r] if r in known else known.setdefault(n, len(known))
+                for r in raw_items
+                if r in known or (n := normalize_item(r))
+            }
         if not ids:
             return False
-        self._transactions.append(Transaction(len(self._transactions), tuple(sorted(ids)), label))
+        self._transactions.append(
+            _sorted_transaction(len(self._transactions), tuple(sorted(ids)), label)
+        )
         return True
 
     def build(self) -> TransactionDatabase:
@@ -176,8 +206,10 @@ def remap(
     rewritten through ``id_map``.
 
     ``id_map`` must be order-preserving (old ids a < b map to new ids
-    a' < b') and onto 0..len(id_map)-1. The new dictionary holds the mapped
-    items' strings in new-id order, reusing ``db``'s normalized strings.
+    a' < b') and onto 0..len(id_map)-1. Nothing checks it: the remapped
+    transactions skip ``Transaction``'s order check. The new dictionary
+    holds the mapped items' strings in new-id order, reusing ``db``'s
+    normalized strings.
     Items missing from ``id_map`` are dropped, transactions left empty are
     dropped, and survivors keep their order and labels under fresh dense tids.
     """
@@ -190,5 +222,5 @@ def remap(
     for t in transactions:
         items = tuple([j for i in t.items if (j := new_ids[i]) is not None])
         if items:
-            kept.append(Transaction(len(kept), items, t.label))
+            kept.append(_sorted_transaction(len(kept), items, t.label))
     return TransactionDatabase(ItemDictionary(names), tuple(kept))

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import check_pipeline_reports
 from txcleanse import parse_transactions
-from txcleanse.cli import load_report_schema, main, run_pipeline, PipelineConfig
+from txcleanse.cli import build_parser, load_report_schema, main, run_pipeline, PipelineConfig
 
 FIG1 = (
     "amusement park\tcherry blossom\tmall of america\tentrance fee\tdisneyland\n"
@@ -547,3 +547,39 @@ def test_fit_stdout_lists_band_then_counts(noise1_file, capsys, flags):
         "kind", "mu_hat", "sigma_hat", "s", "lower", "upper", "log_space",
         "items_below", "items_inside", "items_above", "advisory_log_likelihood",
     ]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_calls_in_one_process_match_fresh_processes(noise1_file, tmp_path, capsys):
+    # main reuses one parser; no call may leave anything behind for the next.
+    calls = [
+        ["cleanse", str(noise1_file), "--lower", "2", "--upper", "inf",
+         "--out-dir", str(tmp_path / "cleanse")],
+        ["cluster", str(noise1_file), "--repulsion", "2", "--out-dir", str(tmp_path / "cluster")],
+        ["cleanse", str(noise1_file), "--dist", "exponential", "--s", "1",
+         "--out-dir", str(tmp_path / "cleanse-fit")],
+    ]
+
+    def outputs(argv):
+        out_dir = Path(argv[-1])
+        files = {}
+        for path in sorted(out_dir.iterdir()):
+            if path.suffix == ".json":
+                report = json.loads(path.read_text())
+                files[path.name] = {k: v for k, v in report.items()
+                                    if k not in ("seconds", "time_ratio")}
+            else:
+                files[path.name] = path.read_bytes()
+        return files
+
+    in_process = []
+    for argv in calls:
+        assert main(argv) == 0
+        in_process.append((capsys.readouterr().out, outputs(argv)))
+    for argv, expected in zip(calls, in_process):
+        done = subprocess.run([sys.executable, "-m", "txcleanse.cli", *argv],
+                              env=_src_env(), capture_output=True, text=True, check=True)
+        assert (done.stdout, outputs(argv)) == expected

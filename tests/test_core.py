@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 import re
 import sys
 
@@ -8,12 +11,15 @@ from hypothesis import strategies as st
 from txcleanse import (
     DatabaseBuilder,
     ItemDictionary,
+    ManualBand,
     Transaction,
     TransactionDatabase,
+    cleanse,
     core,
     database_from_items,
     item_frequencies,
     normalize_item,
+    truncate,
 )
 
 
@@ -133,6 +139,18 @@ class TestDatabaseBuilder:
         b.add(["A", "b"])
         assert [t.items for t in b.build()] == [(0, 1, 2), (0, 2), (0, 1)]
 
+    def test_only_unknown_items_are_normalized(self, monkeypatch):
+        b = DatabaseBuilder()
+        b.add(["a"])
+        calls = []
+        monkeypatch.setattr(core, "normalize_item",
+                            lambda raw: calls.append(raw) or normalize_item(raw))
+        b.add(["B", "a", "c"])
+        assert calls == ["B", "c"]
+        db = b.build()
+        assert db.dictionary.strings() == ("a", "b", "c")
+        assert [t.items for t in db] == [(0,), (0, 1, 2)]
+
     def test_duplicates_within_transaction_dropped(self):
         db = database_from_items([["a", "a", "b"]])
         assert [len(t) for t in db] == [2]
@@ -216,3 +234,45 @@ def test_builder_matches_set_comprehension_oracle(item_lists):
     assert db.dictionary.strings() == expected.dictionary.strings()
     assert [t.items for t in db] == [t.items for t in expected]
     assert db == expected
+
+
+def assert_equal_to_checked_rebuild(db: TransactionDatabase) -> None:
+    """Every transaction of ``db`` equals, and hashes like, the one the
+    public (order-checking) constructor builds from its fields, and it
+    survives pickling and copying unchanged."""
+    for t in db.transactions:
+        rebuilt = Transaction(t.tid, t.items, t.label)
+        assert t == rebuilt and hash(t) == hash(rebuilt)
+        for twin in (pickle.loads(pickle.dumps(t)), copy.copy(t)):
+            assert twin == t and hash(twin) == hash(t)
+            assert (twin.tid, twin.items, twin.label) == (t.tid, t.items, t.label)
+
+
+_labelled_rows = st.lists(
+    st.tuples(st.lists(_spelled_item | st.text(max_size=3), max_size=6),
+              st.none() | st.text(max_size=3)),
+    max_size=12,
+)
+
+
+@given(_labelled_rows, st.data())
+def test_builder_and_remap_transactions_equal_their_checked_rebuild(rows, data):
+    # DatabaseBuilder.add and remap skip the order check; what they build
+    # must be what the checked constructor builds.
+    builder = DatabaseBuilder()
+    for items, label in rows:
+        builder.add(items, label)
+    db = builder.build()
+    assert_equal_to_checked_rebuild(db)
+    assert_equal_to_checked_rebuild(database_from_items([items for items, _ in rows]))
+
+    keep = data.draw(st.lists(st.booleans(), min_size=db.m, max_size=db.m))
+    id_map = {old: new for new, old in enumerate(i for i, k in enumerate(keep) if k)}
+    assert_equal_to_checked_rebuild(core.remap(db, id_map, db.transactions))
+
+    lower = data.draw(st.integers(1, 4))
+    upper = data.draw(st.sampled_from([lower, lower + 2, math.inf]))
+    cleansed, _ = cleanse(db, ManualBand(lower, upper), item_frequencies(db))
+    assert_equal_to_checked_rebuild(cleansed)
+
+    assert_equal_to_checked_rebuild(truncate(db, data.draw(st.integers(1, 13))))
