@@ -24,12 +24,18 @@ transaction and their overlaps, so only those are scored one by one, as
 gain and ``pw[w] == w**r`` a table over widths up to the item count (a width
 whose power overflows takes ``_gain``'s exp/log path). A cluster that shares
 no item offers a delta that depends on the transaction only through its
-size; those deltas are kept per size and cluster and read by one C-level
-``max``. Per-pass work is O(n * k + sum of overlaps), and every delta is
-bit-identical to ``delta_add``'s. The index, one row per item id, is the only
-occurrence map: ``Clustering.clusters`` is read off it once, and each pass's
-profit sums the gains G the placer keeps. ``delta_add``, ``ClusterSummary``
-and ``profit`` stay as the oracles the tests compare the kernel against.
+size; those deltas are kept per size and cluster, and the slot of each
+size's maximum is cached and kept up to date as clusters change, so a
+placement rescans a size's deltas only when its cached maximum fell or left.
+Per-pass work is O(n + sum of overlaps), plus one delta per size for each
+cluster change and O(k) for each rescan. A refinement pass that has moved
+nothing yet ends at the first transaction after the previous pass's last
+move: every later one stayed at its last placement, and nothing has changed
+since. Every delta is bit-identical to ``delta_add``'s. The index, one row
+per item id, is the only occurrence map: ``Clustering.clusters`` is read off
+it once, and each pass's profit sums the gains G the placer keeps.
+``delta_add``, ``ClusterSummary`` and ``profit`` stay as the oracles the
+tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -221,8 +227,13 @@ class _Placer:
     A cluster that shares no item with ``t`` offers ``(S+s) / pw[W+s] *
     (N+1) - G``, which depends on ``t`` only through its size s. So
     ``disjoint[s][slot]`` keeps that delta for every size s in the database
-    and every live cluster, refreshed whenever the cluster changes, and one
-    C-level ``max`` over it replaces scoring the disjoint clusters one by one.
+    and every live cluster, refreshed whenever the cluster changes, and its
+    maximum replaces scoring the disjoint clusters one by one. ``tops[s]`` is
+    the slot of the first maximum of ``disjoint[s]``, or -1 when unknown:
+    ``best`` rescans a column only then, and each update keeps it exact. It
+    becomes -1 when its own entry falls or its cluster is deleted, moves
+    down with its slot when a lower slot is deleted, and passes to a slot
+    whose new entry is greater, or equal at a lower slot.
     ``cids[slot]`` is the cluster of each slot, in ascending id order, since
     fresh ids only grow.
     """
@@ -234,6 +245,7 @@ class _Placer:
         self.index: list[dict[int, int]] = [{} for _ in range(m)]
         self.stats: dict[int, tuple[int, int, int, float]] = {}
         self.disjoint: dict[int, list[float]] = {s: [] for s in sizes}
+        self.tops = dict.fromkeys(self.disjoint, -1)
         self.fresh = {s: _gain(s, s, 1, repulsion) for s in self.disjoint}
         self.cids: list[int] = []
 
@@ -278,16 +290,24 @@ class _Placer:
         # one equal to ``best`` is first held by a cluster whose exact delta
         # equals ``best``: the lowest id among them wins the tie.
         column = self.disjoint[s]
+        top_slot = self.tops[s]
+        if top_slot < 0 and column:
+            top_slot = self.tops[s] = column.index(max(column))
+        top = column[top_slot] if column else -math.inf
         if home is not None:
             slot = bisect_left(self.cids, home)
-            held, column[slot] = column[slot], -math.inf
-        top = max(column, default=-math.inf)
+            if top_slot == slot:
+                # The cached top is the home's own entry: the others' maximum
+                # is read with it held out, and is not cached.
+                held, column[slot] = column[slot], -math.inf
+                top = max(column)
+                top_slot = column.index(top)
+                column[slot] = held
         if top >= best and top > -math.inf:
-            cid = self.cids[column.index(top)]
+            cid = self.cids[top_slot]
             if top > best or cid < best_cid:
                 best, best_cid = top, cid
         if home is not None:
-            column[slot] = held
             # t stays in its home: the home's delta is its gain minus the gain
             # it would have without t
             S, W, N1, G = stats[home]
@@ -331,8 +351,13 @@ class _Placer:
             del self.stats[cid]
             slot = bisect_left(self.cids, cid)
             del self.cids[slot]
-            for column in self.disjoint.values():
+            tops = self.tops
+            for s, column in self.disjoint.items():
                 del column[slot]
+                if tops[s] > slot:
+                    tops[s] -= 1
+                elif tops[s] == slot:
+                    tops[s] = -1
         else:
             self._restat(cid, S - len(t.items), W, N1 - 1)
 
@@ -341,8 +366,16 @@ class _Placer:
         self.stats[cid] = (S, W, N1, G)
         slot = bisect_left(self.cids, cid)
         delta = self._delta
+        tops = self.tops
         for s, column in self.disjoint.items():
-            column[slot] = delta(S + s, W + s, N1, G)
+            d = delta(S + s, W + s, N1, G)
+            top = tops[s]
+            if top == slot:
+                if d < column[slot]:
+                    tops[s] = -1
+            elif top >= 0 and (d > column[top] or d == column[top] and slot < top):
+                tops[s] = slot
+            column[slot] = d
 
     def profit(self, n: int) -> float:
         """Gains summed left to right in ascending id, over n, as ``profit`` sums."""
@@ -369,7 +402,7 @@ def clope_cluster(
 ) -> Clustering:
     """Cluster a database by iterative profit maximization.
 
-    Refinement stops after a full pass with zero moves, or at ``max_passes``
+    Refinement stops after a pass with zero moves, or at ``max_passes``
     (a safety valve; hitting it is reported via ``hit_max_passes``). Empty
     clusters are collected immediately. The reported profit sequence is
     non-decreasing.
@@ -405,9 +438,14 @@ def clope_cluster(
     moves_per_pass: list[int] = []
 
     started = time.perf_counter()
+    last_move = db.n
     for _ in range(max_passes):
         moves = 0
         for t in transactions:
+            # Past the last move, with none made since, each transaction would
+            # stay where its last placement left it.
+            if t.tid > last_move and not moves:
+                break
             home = assignment[t.tid]
             cid = placer.best(t, home)
             if cid == home:
@@ -417,6 +455,7 @@ def clope_cluster(
             placer.remove(home, t)
             placer.add(cid, t)
             assignment[t.tid] = cid
+            last_move = t.tid
             moves += 1
         moves_per_pass.append(moves)
         profits.append(placer.profit(db.n))

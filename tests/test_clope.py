@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -11,12 +13,14 @@ from conftest import letters_db, random_db
 from txcleanse import (
     ClusterSummary,
     ItemDictionary,
+    SyntheticSpec,
     Transaction,
     TransactionDatabase,
     brute_force_best,
     clope_cluster,
     database_from_items,
     delta_add,
+    generate_synthetic,
     profit,
     recompute_profit,
 )
@@ -395,6 +399,126 @@ class TestKernelParity:
         summaries = placer.summaries()
         assert [delta_add(summaries[cid], t, 1.0) for cid in (0, 1)] == [1.0, 1.0]
         assert placer.best(t) == best_home(summaries, t, 1.0) == 0
+
+    @pytest.mark.parametrize("seed, r", [(5, 1.5), (6, 2.0), (7, 2.6)])
+    def test_hub_heavy_synthetic(self, seed, r):
+        # Hubs sit in nine of ten transactions, so their index rows hold
+        # nearly every cluster; a few hundred transactions keep cached column
+        # maxima alive across many placements and moves.
+        spec = SyntheticSpec(transactions=300, clusters=10, items_per_cluster=10,
+                             picks_per_transaction=5, noise_rate=0.3, ubiquitous_items=5,
+                             ubiquity=0.9, seed=seed)
+        db, _ = generate_synthetic(spec)
+        _assert_matches_reference(db, r, 20)
+
+
+def _assert_tops_are_first_maxima(placer):
+    for s, column in placer.disjoint.items():
+        top = placer.tops[s]
+        assert top == -1 or top == column.index(max(column)), s
+
+
+class TestCachedMaxima:
+    """``tops[s]`` caches the slot of the first maximum of ``disjoint[s]``,
+    or -1 when unknown; ``best`` fills it and every update keeps it exact."""
+
+    @pytest.mark.parametrize("r", [1.5, 300.0])
+    def test_random_adds_and_removals_keep_tops_exact(self, r):
+        # Every row occurs twice, so clusters of equal S, W and N put tied
+        # entries in the columns. Cluster widths and sizes run up to 12, so at
+        # r=300.0 the widths from 11 on take _gain's exp/log path.
+        rng = random.Random(13)
+        vocab = [f"i{j}" for j in range(12)]
+        rows = [rng.sample(vocab, rng.randint(1, 12)) for _ in range(20)]
+        db = database_from_items(rows * 2 + [[f"o{j}" for j in range(s)] for s in range(1, 13)])
+        members = db.transactions[:2 * len(rows)]
+        outside = db.transactions[2 * len(rows):]
+        placer = _Placer(db.m, range(1, 13), r)
+        homes = [None] * len(members)
+        fresh = itertools.count()
+        seen = Counter()
+        for _ in range(800):
+            i = rng.randrange(len(members))
+            t, home = members[i], homes[i]
+            if home is None:
+                homes[i] = rng.choice(placer.cids + [next(fresh)])
+                placer.add(homes[i], t)
+            else:
+                slot = placer.cids.index(home)
+                deleted = homes.count(home) == 1
+                before = dict(placer.tops)
+                placer.remove(home, t)
+                homes[i] = None
+                for s, top in before.items():
+                    if deleted and top == slot:
+                        seen["top cluster deleted"] += 1
+                    elif deleted and top > slot:
+                        seen["deleted below the top"] += 1
+                    elif top == slot and placer.tops[s] == -1:
+                        seen["top entry fell"] += 1
+            _assert_tops_are_first_maxima(placer)
+
+            summaries = placer.summaries()
+            probe = rng.choice(outside)
+            assert placer.best(probe) == best_home(summaries, probe, r)
+            placed = [j for j, cid in enumerate(homes) if cid is not None]
+            if placed:
+                j = rng.choice(placed)
+                summaries[homes[j]].remove(members[j])
+                assert placer.best(members[j], homes[j]) == best_home(
+                    summaries, members[j], r, homes[j])
+            _assert_tops_are_first_maxima(placer)
+            for s, column in placer.disjoint.items():
+                top = placer.tops[s]
+                if top >= 0 and column.count(column[top]) > 1:
+                    seen["tied top"] += 1
+        assert set(seen) == {"top cluster deleted", "deleted below the top", "top entry fell",
+                             "tied top"}, seen
+
+    def test_home_holding_the_cached_top_is_held_out(self):
+        # At r=0.5 the home {cf} holds the greatest size-2 entry; held out,
+        # the first maximum is {a} (id 0), tied with {a} (id 1), and t, which
+        # shares no item with either, joins id 0.
+        db = letters_db("a", "a", "cf")
+        t = db.transactions[2]
+        placer = _Placer(db.m, {1, 2}, 0.5)
+        for cid, member in enumerate(db.transactions):
+            placer.add(cid, member)
+        summaries = placer.summaries()
+        summaries[2].remove(t)
+        want = best_home(summaries, t, 0.5, 2)
+        assert want == 0
+        column = list(placer.disjoint[2])
+        assert column.index(max(column)) == 2 and column[0] == column[1]
+        for _ in range(2):
+            # the first call caches the home's slot, the second reads it
+            assert placer.best(t, 2) == want
+            assert placer.tops[2] == 2
+            assert placer.disjoint[2] == column
+
+
+class TestTailExit:
+    def test_pass_ends_after_its_last_move(self, monkeypatch):
+        # Pass 1 moves only tid 1. Pass 2 re-places tids 0 and 1 without a
+        # move; every later transaction stayed in pass 1 after the last move,
+        # and nothing has changed since, so the pass ends there.
+        db = letters_db("ce", "cfg", "eg", "bd", "d", "bd", "c", "a")
+        calls = []
+        best = _Placer.best
+
+        def recording_best(self, t, home=None):
+            cid = best(self, t, home)
+            if home is not None:
+                calls.append((t.tid, cid != home))
+            return cid
+
+        monkeypatch.setattr(_Placer, "best", recording_best)
+        result = clope_cluster(db, 1.5)
+        assert result.moves_per_pass == [1, 0]
+        last_move = max(tid for tid, moved in calls[:db.n] if moved)
+        assert last_move == 1
+        assert calls[db.n:] == [(tid, False) for tid in range(last_move + 1)]
+        _assert_matches_reference(db, 1.5, 20)
 
 
 class TestBruteForce:
