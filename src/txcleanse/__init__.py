@@ -38,6 +38,7 @@ from .core import (
 )
 from .ingest import (
     QueryLogRecord,
+    iter_query_log,
     parse_keyword_registration,
     parse_query_log,
     parse_transactions,
@@ -76,6 +77,7 @@ __all__ = [
     "fit_lognormal",
     "generate_synthetic",
     "item_frequencies",
+    "iter_query_log",
     "jaccard",
     "jaccard_parts",
     "normalize_item",

@@ -124,7 +124,7 @@ def load_database(path: str | Path, fmt: str, delimiter: str = "\t",
         if fmt == "generic":
             db = ingest.parse_transactions(fh, delimiter=delimiter)
         elif fmt == "aol":
-            db = ingest.sessionize(ingest.parse_query_log(fh))
+            db = ingest.sessionize(ingest.iter_query_log(fh))
         elif fmt == "keywords":
             db = ingest.parse_keyword_registration(fh)
         else:

@@ -5,8 +5,10 @@ Three input shapes are supported:
 * generic transaction files: one transaction per line, items separated by a
   delimiter (default TAB), ``#`` starts a comment line;
 * AOL-style query logs: TSV with a header row naming AnonID, Query,
-  QueryTime and optionally ItemRank, ClickURL; grouped into one transaction
-  per user;
+  QueryTime and optionally ItemRank, ClickURL, each at most once; grouped
+  into one transaction per user. ``iter_query_log`` yields each row's
+  record as the row is read, so ``sessionize(iter_query_log(lines))``
+  holds the users' queries but never a list of the log's records;
 * keyword-registration dumps: TAB-delimited, first field a URL, remaining
   fields the registered keywords.
 
@@ -97,7 +99,7 @@ def write_transactions(db: TransactionDatabase, path, delimiter: str = "\t") -> 
         fh.writelines(line + "\n" for line in serialize_transactions(db, delimiter))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryLogRecord:
     """One row of an AOL-style query log."""
 
@@ -111,16 +113,20 @@ class QueryLogRecord:
 _REQUIRED_COLUMNS = ("anonid", "query", "querytime")
 
 
-def parse_query_log(
+def iter_query_log(
     lines: Iterable[str | bytes],
     on_warning: WarningSink | None = None,
-) -> list[QueryLogRecord]:
-    """Parse a TSV query log with a header row; columns matched by name.
+) -> Iterator[QueryLogRecord]:
+    """Yield the records of a TSV query log with a header row, one per
+    usable row, as each row is read; columns matched by name.
 
     AnonID, Query and QueryTime are required columns; ItemRank and ClickURL
-    are optional and appear jointly when the user clicked a result. Rows with
+    are optional and appear jointly when the user clicked a result. Header
+    names are matched trimmed and lowercased; a header that names a column
+    twice is refused (an empty header field names no column). Rows with
     the wrong field count, an empty id/query, or a half-present click pair
-    are skipped or repaired with a warning.
+    are skipped or repaired with a warning. A ``ParseError`` for the header
+    (an empty log included) is raised by the first ``next``.
     """
     warn = on_warning or log.warning
     decoded = _decoded_lines(lines)
@@ -129,15 +135,21 @@ def parse_query_log(
     except StopIteration:
         raise ParseError("query log is empty: header row required") from None
 
-    columns = {name.strip().lower(): idx for idx, name in enumerate(header.split("\t"))}
+    names = [name.strip().lower() for name in header.split("\t")]
+    columns: dict[str, int] = {}
+    for idx, name in enumerate(names):
+        if name and name in columns:
+            raise ParseError(f"query log header names column {name!r} twice"
+                             f" (fields {columns[name] + 1} and {idx + 1})")
+        columns[name] = idx
     missing = [c for c in _REQUIRED_COLUMNS if c not in columns]
     if missing:
         raise ParseError(f"query log header missing required column(s): {', '.join(missing)}")
-    arity = len(header.split("\t"))
+    arity = len(names)
+    id_idx, query_idx, time_idx = (columns[c] for c in _REQUIRED_COLUMNS)
     rank_idx = columns.get("itemrank")
     url_idx = columns.get("clickurl")
 
-    records: list[QueryLogRecord] = []
     for lineno, text in decoded:
         if not text.strip():
             continue
@@ -145,8 +157,8 @@ def parse_query_log(
         if len(fields) != arity:
             warn(f"line {lineno}: expected {arity} fields, got {len(fields)}; row skipped")
             continue
-        anon_id = fields[columns["anonid"]].strip()
-        query = fields[columns["query"]].strip()
+        anon_id = fields[id_idx].strip()
+        query = fields[query_idx].strip()
         if not anon_id or not query:
             warn(f"line {lineno}: empty AnonID or Query; row skipped")
             continue
@@ -162,16 +174,15 @@ def parse_query_log(
                 warn(f"line {lineno}: non-integer ItemRank {rank_raw!r}; click pair dropped")
         elif rank_raw or url_raw:
             warn(f"line {lineno}: ItemRank/ClickURL must appear together; click pair dropped")
-        records.append(
-            QueryLogRecord(
-                anon_id=anon_id,
-                query=query,
-                query_time=fields[columns["querytime"]].strip(),
-                item_rank=item_rank,
-                click_url=click_url,
-            )
-        )
-    return records
+        yield QueryLogRecord(anon_id, query, fields[time_idx].strip(), item_rank, click_url)
+
+
+def parse_query_log(
+    lines: Iterable[str | bytes],
+    on_warning: WarningSink | None = None,
+) -> list[QueryLogRecord]:
+    """The records of ``iter_query_log(lines, on_warning)`` as a list."""
+    return list(iter_query_log(lines, on_warning))
 
 
 def sessionize(records: Iterable[QueryLogRecord]) -> TransactionDatabase:
@@ -239,6 +250,7 @@ __all__ = [
     "parse_transactions",
     "serialize_transactions",
     "write_transactions",
+    "iter_query_log",
     "parse_query_log",
     "sessionize",
     "parse_keyword_registration",

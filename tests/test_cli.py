@@ -5,14 +5,16 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from conftest import check_pipeline_reports
-from txcleanse import parse_transactions
-from txcleanse.cli import build_parser, load_report_schema, main, run_pipeline, PipelineConfig
+from txcleanse import ParseError, ingest, parse_transactions
+from txcleanse.cli import (build_parser, load_database, load_report_schema, main, run_pipeline,
+                           PipelineConfig)
 
 FIG1 = (
     "amusement park\tcherry blossom\tmall of america\tentrance fee\tdisneyland\n"
@@ -458,6 +460,81 @@ def test_cr_only_input_reads_as_its_lf_twin(tmp_path, capsys, fmt, text):
     assert "transactions: 1\n" not in printed[0]
     assert (tmp_path / "lf" / "histogram.csv").read_bytes() == (
         (tmp_path / "cr" / "histogram.csv").read_bytes())
+
+
+def _query_log_rows(path: Path, rows: int, users: int) -> None:
+    rng = random.Random(5)
+    lines = ["AnonID\tQuery\tQueryTime\tItemRank\tClickURL"]
+    for i in range(rows):
+        lines.append(f"{rng.randrange(users)}\tquery {rng.randrange(2000)}"
+                     f"\t2006-03-01 10:{i % 60:02d}:00\t\t")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _load_listed(path: Path):
+    with open(path, "rb") as fh:
+        return ingest.sessionize(ingest.parse_query_log(fh))
+
+
+def test_aol_load_streams_the_log_into_sessionize(tmp_path, monkeypatch):
+    path = tmp_path / "queries.tsv"
+    _query_log_rows(path, 200, 20)
+    expected = _load_listed(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_database built the list of log records")
+
+    monkeypatch.setattr(ingest, "parse_query_log", refuse)
+    assert load_database(path, "aol") == expected
+
+
+def test_aol_load_peak_memory_is_well_below_the_list_path(tmp_path):
+    path = tmp_path / "queries.tsv"
+    _query_log_rows(path, 5000, 500)
+
+    def traced_peak(load):
+        tracemalloc.start()
+        try:
+            db = load()
+            return tracemalloc.get_traced_memory()[1], db
+        finally:
+            tracemalloc.stop()
+
+    listed_peak, listed = traced_peak(lambda: _load_listed(path))
+    streamed_peak, streamed = traced_peak(lambda: load_database(path, "aol"))
+    assert streamed == listed
+    assert streamed_peak <= listed_peak / 2
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "query log is empty: header row required"),
+    (b"AnonID\tQuery\n1\tq\n", "query log header missing required column(s): querytime"),
+    (b"AnonID\tQuery\tQueryTime\n1\tq\tt\n2\tr\n3\ts\xff\tt\n4\tu\tt\n",
+     "line 4: invalid UTF-8 (invalid start byte)"),
+], ids=["empty", "missing-column", "bad-utf8-mid-file"])
+def test_aol_load_errors_match_the_list_path(tmp_path, caplog, data, message):
+    path = tmp_path / "queries.tsv"
+    path.write_bytes(data)
+    outcomes = []
+    for load in (lambda: load_database(path, "aol"), lambda: _load_listed(path)):
+        caplog.clear()
+        with pytest.raises(ParseError) as exc:
+            load()
+        outcomes.append((str(exc.value), caplog.messages))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == message
+    if b"\xff" in data:
+        assert outcomes[0][1] == ["line 3: expected 3 fields, got 2; row skipped"]
+
+
+def test_aol_header_naming_a_column_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "queries.tsv"
+    path.write_text("AnonID\tQuery\tQueryTime\t Query \n1\ta\tt\tb\n")
+    assert _exit_code(["pipeline", str(path), "--format", "aol",
+                       "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "query log header names column 'query' twice (fields 2 and 4)" in err
+    assert "Traceback" not in err
 
 
 def _exit_code(argv):

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import io
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from txcleanse import (
     ParseError,
     QueryLogRecord,
+    iter_query_log,
     parse_keyword_registration,
     parse_query_log,
     parse_transactions,
@@ -153,6 +158,73 @@ class TestParseQueryLog:
     def test_empty_stream_is_error(self):
         with pytest.raises(ParseError):
             parse_query_log([])
+
+    @pytest.mark.parametrize("header, named", [
+        ("AnonID\tQuery\tQueryTime\t query ", "'query' twice (fields 2 and 4)"),
+        ("anonid\tQuery\tANONID\tQueryTime", "'anonid' twice (fields 1 and 3)"),
+        (f"{AOL_HEADER}\tClickURL", "'clickurl' twice (fields 5 and 6)"),
+        ("AnonID\tQuery\tQueryTime\tNote\tnote", "'note' twice (fields 4 and 5)"),
+    ])
+    def test_column_named_twice_is_hard_error(self, header, named):
+        with pytest.raises(ParseError, match=rf"^query log header names column {re.escape(named)}$"):
+            parse_query_log([header, "1\tq\tt"])
+
+    def test_empty_header_fields_name_no_column(self):
+        (record,) = parse_query_log(["AnonID\t\tQuery\t \tQueryTime", "1\ta\tq\tb\tt"])
+        assert record == QueryLogRecord("1", "q", "t")
+
+    def test_record_is_a_frozen_slotted_value(self):
+        record = QueryLogRecord("1", "q", "t", 3, "http://x")
+        assert not hasattr(record, "__dict__")
+        assert repr(record) == ("QueryLogRecord(anon_id='1', query='q', query_time='t',"
+                                " item_rank=3, click_url='http://x')")
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                     QueryLogRecord("1", "q", "t", 3, "http://x")):
+            assert twin == record and hash(twin) == hash(record)
+        assert record != QueryLogRecord("1", "q", "t")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.query = "r"
+
+
+class TestIterQueryLog:
+    def test_rows_are_read_only_as_records_are_taken(self):
+        sentinel = RuntimeError("read past the first row")
+
+        def lines():
+            yield AOL_HEADER
+            yield "1\tq\tt\t\t"
+            raise sentinel
+
+        records = iter_query_log(lines())
+        assert next(records) == QueryLogRecord("1", "q", "t")
+        with pytest.raises(RuntimeError) as exc:
+            next(records)
+        assert exc.value is sentinel
+
+    @pytest.mark.parametrize("lines, message", [
+        ([], "query log is empty: header row required"),
+        (["AnonID\tQuery", "1\tq"], "query log header missing required column(s): querytime"),
+        (["AnonID\tQuery\tQueryTime\tquery"],
+         "query log header names column 'query' twice (fields 2 and 4)"),
+    ])
+    def test_header_error_is_raised_by_the_first_next(self, lines, message):
+        records = iter_query_log(lines)  # reads nothing yet
+        with pytest.raises(ParseError) as exc:
+            next(records)
+        assert str(exc.value) == message
+
+    def test_warnings_interleave_with_the_records(self):
+        events = []
+        rows = [AOL_HEADER, "1\tq\tt\t\t", "2\tr\tt", "3\ts\tt\t4\t", "\tu\tt\t\t"]
+        for record in iter_query_log(rows, on_warning=events.append):
+            events.append(record.anon_id)
+        assert events == [
+            "1",
+            "line 3: expected 5 fields, got 3; row skipped",
+            "line 4: ItemRank/ClickURL must appear together; click pair dropped",
+            "3",
+            "line 5: empty AnonID or Query; row skipped",
+        ]
 
 
 def _record(user, query):
