@@ -290,16 +290,37 @@ class CleansingReport:
         }
 
 
-def cleanse(
-    db: TransactionDatabase,
-    band: Band,
-    hist: FrequencyHistogram | None = None,
-) -> tuple[TransactionDatabase, CleansingReport]:
-    """Remove out-of-band items everywhere, then prune emptied transactions.
+def plan_cleanse(db: TransactionDatabase, band: Band, hist: FrequencyHistogram | None = None,
+                 ) -> tuple[list[str | None], CleansingReport]:
+    """The band step of ``cleanse``, which builds no database: an m-entry
+    table holding each retained item's string at its id and None at each
+    cut id, and the report ``cleanse`` returns, transaction counts included.
 
     ``hist`` must be ``item_frequencies(db)``; a caller that has already
     counted it for the fit passes it here, and it is counted when omitted.
     A ``hist`` whose item count is not ``db.m`` raises ``ValueError``.
+    """
+    if hist is None:
+        hist = item_frequencies(db)
+    elif hist.item_count != db.m:
+        raise ValueError(f"hist counts {hist.item_count} items but db has {db.m}: "
+                         "it must be item_frequencies(db)")
+    verdict = {item: band.classify(f) for item, f in hist.per_item.items()}
+    retained = sorted(item for item, v in verdict.items() if v == 0)
+    counts = Counter(verdict.values())
+    id_map = {old: new for new, old in enumerate(retained)}
+    kept = [s if i in id_map else None for i, s in enumerate(db.dictionary.strings())]
+    # A transaction survives iff it holds a retained item.
+    emptied = sum(1 for t in db.transactions if id_map.keys().isdisjoint(t.items))
+    report = CleansingReport(counts[-1], counts[1], len(retained), emptied, db.n - emptied,
+                             fit=band, id_map=id_map)
+    return kept, report
+
+
+def cleanse(db: TransactionDatabase, band: Band, hist: FrequencyHistogram | None = None,
+            ) -> tuple[TransactionDatabase, CleansingReport]:
+    """Remove out-of-band items everywhere, then prune emptied transactions:
+    ``plan_cleanse``'s band step, then the remap. ``hist`` is as there.
 
     The result is an order-preserving id remap of ``db``: each retained item
     gets as new id its rank among the retained old ids (``report.id_map``),
@@ -311,30 +332,10 @@ def cleanse(
     changes another item's frequency, so a second cleanse with the same band
     is a no-op.
     """
-    if hist is None:
-        hist = item_frequencies(db)
-    elif hist.item_count != db.m:
-        raise ValueError(f"hist counts {hist.item_count} items but db has {db.m}: "
-                         "it must be item_frequencies(db)")
-    freq = hist.per_item
-    verdict = {item: band.classify(f) for item, f in freq.items()}
-    retained = sorted(item for item, v in verdict.items() if v == 0)
-    counts = Counter(verdict.values())
-    # remap's copy of the database is the run's memory peak: free the
-    # m-entry verdict dict before it.
-    del verdict
-    id_map = {old: new for new, old in enumerate(retained)}
-    cleansed = remap(db, id_map, db.transactions)
-    report = CleansingReport(
-        items_removed_low=counts[-1],
-        items_removed_high=counts[1],
-        items_retained=len(retained),
-        transactions_removed_empty=db.n - cleansed.n,
-        transactions_retained=cleansed.n,
-        fit=band,
-        id_map=id_map,
-    )
-    return cleansed, report
+    _, report = plan_cleanse(db, band, hist)
+    # The copy is the memory peak of a caller that keeps ``db``; the
+    # ``cleanse`` command writes ``plan_cleanse``'s table and never builds it.
+    return remap(db, report.id_map, db.transactions), report
 
 
 def write_histogram_csv(hist: FrequencyHistogram, path) -> None:
@@ -359,6 +360,7 @@ __all__ = [
     "fit_distribution",
     "log_likelihood",
     "CleansingReport",
+    "plan_cleanse",
     "cleanse",
     "write_histogram_csv",
 ]

@@ -28,13 +28,13 @@ from .cleanse import (
     Band,
     FrequencyHistogram,
     ManualBand,
-    cleanse as cleanse_database,
     fit_distribution,
     item_frequencies,
     log_likelihood,
+    plan_cleanse as cleanse_database,  # the band step: callers remap or write its table
     write_histogram_csv,
 )
-from .core import ParseError, TransactionDatabase
+from .core import ParseError, TransactionDatabase, remap
 
 FORMATS = ("generic", "aol", "keywords")
 
@@ -113,8 +113,8 @@ class PipelineConfig:
 
 
 def _check_delimiter(delimiter: str) -> None:
-    if not delimiter:
-        raise ParseError("delimiter must be non-empty")
+    if not delimiter or "\n" in delimiter or "\r" in delimiter:
+        raise ParseError(f"delimiter must be non-empty and hold no line break, got {delimiter!r}")
 
 
 def load_database(path: str | Path, fmt: str, delimiter: str = "\t",
@@ -193,7 +193,8 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
             if arm_name == "cleansed":
                 started = time.perf_counter()
                 band, hist = _band_from_config(db, config)
-                arm_db, cleansing = cleanse_database(db, band, hist)
+                _, cleansing = cleanse_database(db, band, hist)
+                arm_db = remap(db, cleansing.id_map, db.transactions)
                 seconds["cleanse"] = time.perf_counter() - started
                 arm["cleansing"] = cleansing.to_json_dict()
                 if arm_db.n == 0:
@@ -286,13 +287,13 @@ def cmd_cleanse(config: PipelineConfig, args: argparse.Namespace) -> int:
     if db.m == 0:
         raise EmptyInputError("no items to fit")
     band, hist = _band_from_config(db, config)
-    cleansed, report = cleanse_database(db, band, hist)
-    if cleansed.n == 0:
+    kept, report = cleanse_database(db, band, hist)
+    if report.transactions_retained == 0:
         print(EMPTY_CLEANSE, file=sys.stderr)
         return EXIT_ARM_FAILURE
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    ingest.write_transactions(cleansed, out_dir / "cleansed.tsv", config.delimiter)
+    ingest.write_transactions(db, out_dir / "cleansed.tsv", config.delimiter, kept)
     _write_json(report.to_json_dict(), out_dir / "cleanse_report.json")
     print(
         f"items: kept {report.items_retained}, removed {report.items_removed_low} low"

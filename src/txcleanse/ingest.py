@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import DatabaseBuilder, ParseError, TransactionDatabase, remap
 
@@ -83,20 +83,41 @@ def parse_transactions(
     return builder.build()
 
 
-def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t") -> Iterator[str]:
+def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t",
+                           strings: Sequence[str | None] | None = None) -> Iterator[str]:
     """Yield one line per transaction (no trailing newline), items in id order.
 
-    ``parse_transactions(serialize_transactions(db))`` reproduces ``db``.
+    ``strings``, an m-entry table, replaces the dictionary's strings; its
+    None entries are left out, and so is a line left with no item. The lines
+    re-read (``parse_transactions(lines, d)``) as ``db``, labels aside, when
+    its ids are first-seen and its strings normalized, as every parser builds
+    them, every written ``s`` has ``(s + d).find(d) == len(s)``, and no line
+    starts with ``#``, nor line 1 with U+FEFF. ``write_transactions`` refuses
+    to write any other lines.
     """
-    strings = db.dictionary.strings()
+    table = db.dictionary.strings() if strings is None else strings
     for t in db.transactions:
-        yield delimiter.join(map(strings.__getitem__, t.items))
+        if line := delimiter.join(filter(None, map(table.__getitem__, t.items))):
+            yield line
 
 
-def write_transactions(db: TransactionDatabase, path, delimiter: str = "\t") -> None:
-    """Write the lines of ``serialize_transactions(db, delimiter)``, each ended by ``\\n``."""
+def write_transactions(db: TransactionDatabase, path, delimiter: str = "\t",
+                       strings: Sequence[str | None] | None = None) -> None:
+    """Write the lines of ``serialize_transactions(db, delimiter, strings)``,
+    each ended by ``\\n``; raise ``ParseError`` naming the item, before
+    ``path`` is opened, if they would not re-read as written."""
+    written = [s for s in (db.dictionary.strings() if strings is None else strings) if s]
+    for s in written:
+        if (s + delimiter).find(delimiter) != len(s):
+            raise ParseError(f"item {s!r} contains the delimiter {delimiter!r}")
+    if any(s[0] in "#\ufeff" for s in written):
+        for lineno, line in enumerate(serialize_transactions(db, delimiter, strings), 1):
+            if line[0] == "#" or lineno == 1 and line[0] == "\ufeff":
+                fate = "re-read as a comment" if line[0] == "#" else "lose its byte-order mark"
+                raise ParseError(f"line {lineno} would start with item "
+                                 f"{line.split(delimiter, 1)[0]!r} and {fate}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in serialize_transactions(db, delimiter))
+        fh.writelines(line + "\n" for line in serialize_transactions(db, delimiter, strings))
 
 
 @dataclass(frozen=True, slots=True)

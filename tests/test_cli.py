@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -10,9 +12,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import check_pipeline_reports
-from txcleanse import ParseError, ingest, parse_transactions
+from txcleanse import (ManualBand, ParseError, SyntheticSpec, cleanse, generate_synthetic, ingest,
+                       parse_transactions, serialize_transactions)
 from txcleanse.cli import (build_parser, load_database, load_report_schema, main, run_pipeline,
                            PipelineConfig)
 
@@ -565,6 +570,8 @@ def _exit_code(argv):
     ("cluster", ["--max-passes", "0"]),
     ("cleanse", ["--lower", "1"]),
     ("pipeline", ["--delimiter", ""]),
+    ("pipeline", ["--delimiter", "\n"]),
+    ("cleanse", ["--delimiter", "a\rb"]),
 ])
 def test_bad_parameter_is_usage_error(noise1_file, tmp_path, capsys, command, flags):
     out = tmp_path / "out"
@@ -584,6 +591,7 @@ def test_bad_parameter_is_usage_error(noise1_file, tmp_path, capsys, command, fl
     ["--noise-items", "0"],
     ["--ubiquitous", "-1"],
     ["--delimiter", ""],
+    ["--delimiter", "\r\n"],
 ])
 def test_bad_synth_parameter_is_usage_error(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -660,3 +668,120 @@ def test_calls_in_one_process_match_fresh_processes(noise1_file, tmp_path, capsy
         done = subprocess.run([sys.executable, "-m", "txcleanse.cli", *argv],
                               env=_src_env(), capture_output=True, text=True, check=True)
         assert (done.stdout, outputs(argv)) == expected
+
+
+def _write_input(path: Path, fmt: str, item_lists) -> None:
+    """``item_lists`` in the layout of ``fmt``: one transaction per line,
+    per user or per URL."""
+    if fmt == "generic":
+        lines = ["\t".join(items) for items in item_lists]
+    elif fmt == "aol":
+        lines = ["AnonID\tQuery\tQueryTime"] + [
+            f"{user}\t{query}\tt" for user, items in enumerate(item_lists) for query in items]
+    else:
+        lines = [f"site{user}.com\t" + "\t".join(items) for user, items in enumerate(item_lists)]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    item_lists=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e f", "G", "h"]),
+                                 min_size=1, max_size=4), min_size=1, max_size=12),
+    fmt=st.sampled_from(["generic", "aol", "keywords"]),
+    lower=st.sampled_from([0.0, 1.0, 2.0, 3.0, 50.0]),
+    width=st.sampled_from([0.0, 1.0, 2.0, math.inf]),
+    limit=st.one_of(st.none(), st.integers(1, 12)),
+)
+@example(item_lists=[["a", "b"], ["a"]], fmt="generic", lower=50.0, width=1.0, limit=None)
+def test_cleanse_command_writes_what_the_library_cleanses(
+        tmp_path_factory, item_lists, fmt, lower, width, limit):
+    tmp = tmp_path_factory.mktemp("cleanse")
+    path, out = tmp / "input.tsv", tmp / "out"
+    _write_input(path, fmt, item_lists)
+    band = ["--lower", str(lower), "--upper", str(lower + width)]
+    argv = ["cleanse", str(path), "--format", fmt, *band, "--out-dir", str(out)]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+
+    cleansed, report = cleanse(load_database(path, fmt, limit=limit),
+                               ManualBand(lower, lower + width))
+    if cleansed.n == 0:
+        assert code == 1
+        assert "cleansing removed every transaction" in stderr.getvalue()
+        assert not out.exists()
+        return
+    assert code == 0
+    text = (out / "cleansed.tsv").read_text(encoding="utf-8")
+    assert text.split("\n") == [*serialize_transactions(cleansed), ""]
+    written = json.loads((out / "cleanse_report.json").read_text())
+    assert written == json.loads(json.dumps(report.to_json_dict()))
+
+
+def test_cleanse_holds_one_database_in_memory(tmp_path):
+    # The command writes the kept items from the parsed database, so its
+    # heap peaks near that one database; a cleansed copy would double it.
+    db, _ = generate_synthetic(SyntheticSpec(
+        transactions=20000, clusters=200, noise_rate=0.086, ubiquitous_items=3,
+        ubiquity=0.9, seed=3))
+    path = tmp_path / "synthetic.tsv"
+    ingest.write_transactions(db, path)
+    del db
+
+    tracemalloc.start()
+    try:
+        db = load_database(path, "generic")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del db
+    tracemalloc.start()
+    try:
+        assert main(["cleanse", str(path), "--dist", "exponential", "--s", "0.5",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads((tmp_path / "out" / "cleanse_report.json").read_text())
+    assert report["items_removed_low"] > 0
+    assert peak < 1.4 * held
+
+
+def test_cleanse_refuses_an_item_holding_the_delimiter(tmp_path, capsys):
+    log = tmp_path / "q.tsv"
+    log.write_text("AnonID\tQuery\tQueryTime\n1\tnew york\tt\n2\tparis\tt\n")
+    out = tmp_path / "out"
+    assert main(["cleanse", str(log), "--format", "aol", "--delimiter", " ",
+                 "--lower", "1", "--upper", "inf", "--out-dir", str(out)]) == 2
+    assert "item 'new york' contains the delimiter ' '" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_cleanse_refuses_a_line_led_by_a_hash_item(tmp_path, capsys):
+    path = tmp_path / "db.tsv"
+    path.write_text("a\t#x\nc\t#x\n")
+    out = tmp_path / "out"
+    assert main(["cleanse", str(path), "--lower", "1", "--upper", "inf",
+                 "--out-dir", str(out)]) == 2
+    assert "line 2 would start with item '#x' and re-read as a comment" in (
+        capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+    # Cutting the one-off items leaves "#x" alone on each line, and line 1 a comment.
+    assert main(["cleanse", str(path), "--lower", "2", "--upper", "inf",
+                 "--out-dir", str(out)]) == 2
+    assert "line 1 would start with item '#x'" in capsys.readouterr().err
+
+
+def test_synth_refuses_a_delimiter_inside_its_items(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["synth", "--transactions", "20", "--clusters", "2", "--delimiter", "_",
+                 "--out-dir", str(out)]) == 2
+    assert "contains the delimiter '_'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert main(["synth", "--transactions", "20", "--clusters", "2", "--delimiter", ",",
+                 "--out-dir", str(out)]) == 0
+    with open(out / "synthetic.tsv", "rb") as fh:
+        assert parse_transactions(fh, delimiter=",") == generate_synthetic(
+            SyntheticSpec(transactions=20, clusters=2))[0]

@@ -4,6 +4,8 @@ import io
 import pickle
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -102,6 +104,84 @@ class TestRoundTrip:
         db = database_from_items(item_lists)
         again = parse_transactions(serialize_transactions(db))
         assert again == db
+
+    def test_table_leaves_out_its_none_entries_and_emptied_lines(self):
+        db = parse_transactions(["a\tb", "c", "b\td"])
+        assert list(serialize_transactions(db, ",", ["a", None, None, "d"])) == ["a", "d"]
+
+    @pytest.mark.parametrize("delimiter, item", [
+        (" ", "new york"), ("_", "c000_item000"), (",", "a,b"),
+        ("aa", "xa"), ("aba", "xab"), ("ab", "xab"),
+    ])
+    def test_item_holding_the_delimiter_is_refused_before_the_file_opens(
+            self, tmp_path, delimiter, item):
+        db = database_from_items([["q", item]])
+        path = tmp_path / "db.txt"
+        with pytest.raises(ParseError, match=re.escape(f"item {item!r} contains the delimiter"
+                                                       f" {delimiter!r}")):
+            write_transactions(db, path, delimiter)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("delimiter, items", [
+        ("ab", ["xa", "by"]), ("aa", ["x", "ay"]), ("aba", ["x", "bay"]),
+    ])
+    def test_delimiter_that_only_touches_an_item_is_allowed(self, tmp_path, delimiter, items):
+        db = database_from_items([items])
+        write_transactions(db, tmp_path / "db.txt", delimiter)
+        with open(tmp_path / "db.txt", "rb") as fh:
+            assert parse_transactions(fh, delimiter=delimiter) == db
+
+    def test_line_led_by_a_hash_item_is_refused(self, tmp_path):
+        db = parse_transactions(["a\t#x", "c\t#x"])
+        assert list(serialize_transactions(db)) == ["a\t#x", "#x\tc"]
+        assert parse_transactions(serialize_transactions(db)) != db
+        path = tmp_path / "db.txt"
+        with pytest.raises(ParseError, match="^line 2 would start with item '#x' and re-read"
+                                             " as a comment$"):
+            write_transactions(db, path)
+        assert not path.exists()
+        # The lines checked are the ones the table writes.
+        with pytest.raises(ParseError, match="^line 1 would start with item '#x'"):
+            write_transactions(db, path, strings=[None, "#x", "c"])
+        write_transactions(db, path, strings=["a", None, "c"])
+        assert path.read_text(encoding="utf-8") == "a\nc\n"
+
+    def test_hash_item_inside_lines_is_written(self, tmp_path):
+        db = parse_transactions(["a\t#x", "a\tb\t#x"])
+        write_transactions(db, tmp_path / "db.txt")
+        assert (tmp_path / "db.txt").read_text(encoding="utf-8") == "a\t#x\na\t#x\tb\n"
+        with open(tmp_path / "db.txt", "rb") as fh:
+            assert parse_transactions(fh) == db
+
+    def test_first_line_led_by_a_byte_order_mark_is_refused(self, tmp_path):
+        db = database_from_items([["b"], ["\ufeffa"]])
+        write_transactions(db, tmp_path / "ok.txt")  # a mark opening line 2 is kept
+        with open(tmp_path / "ok.txt", "rb") as fh:
+            assert parse_transactions(fh) == db
+        first = database_from_items([["\ufeffa", "b"]])
+        named = re.escape(repr("\ufeffa"))
+        with pytest.raises(ParseError, match=f"^line 1 would start with item {named} and lose"):
+            write_transactions(first, tmp_path / "bad.txt")
+        assert not (tmp_path / "bad.txt").exists()
+
+    @given(
+        st.lists(
+            st.lists(st.text(alphabet="ab #,\ufeff", min_size=1, max_size=4), max_size=4),
+            max_size=6,
+        ),
+        st.sampled_from(["\t", ",", ", ", " ", "#", "a", "aa", "ab", "ba", "bab"]),
+    )
+    def test_every_file_written_re_reads_as_its_database(self, item_lists, delimiter):
+        db = database_from_items(item_lists)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "db.txt"
+            try:
+                write_transactions(db, path, delimiter)
+            except ParseError:
+                assert not path.exists()
+                return
+            with open(path, "rb") as fh:
+                assert parse_transactions(fh, delimiter=delimiter) == db
 
 
 class TestParseQueryLog:
