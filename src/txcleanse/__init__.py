@@ -28,7 +28,6 @@ from .clope import (
 )
 from .core import (
     DatabaseBuilder,
-    ItemDictionary,
     ItemId,
     ParseError,
     Transaction,
@@ -59,7 +58,6 @@ __all__ = [
     "Clustering",
     "DatabaseBuilder",
     "FrequencyHistogram",
-    "ItemDictionary",
     "ItemId",
     "ManualBand",
     "ParseError",

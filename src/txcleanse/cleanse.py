@@ -309,7 +309,7 @@ def plan_cleanse(db: TransactionDatabase, band: Band, hist: FrequencyHistogram |
     retained = sorted(item for item, v in verdict.items() if v == 0)
     counts = Counter(verdict.values())
     id_map = {old: new for new, old in enumerate(retained)}
-    kept = [s if i in id_map else None for i, s in enumerate(db.dictionary.strings())]
+    kept = [s if i in id_map else None for i, s in enumerate(db.strings)]
     # A transaction survives iff it holds a retained item.
     emptied = sum(1 for t in db.transactions if id_map.keys().isdisjoint(t.items))
     report = CleansingReport(counts[-1], counts[1], len(retained), emptied, db.n - emptied,
@@ -335,7 +335,7 @@ def cleanse(db: TransactionDatabase, band: Band, hist: FrequencyHistogram | None
     _, report = plan_cleanse(db, band, hist)
     # The copy is the memory peak of a caller that keeps ``db``; the
     # ``cleanse`` command writes ``plan_cleanse``'s table and never builds it.
-    return remap(db, report.id_map, db.transactions), report
+    return remap(db, report.id_map), report
 
 
 def write_histogram_csv(hist: FrequencyHistogram, path) -> None:

@@ -194,7 +194,7 @@ def run_pipeline(config: PipelineConfig, db: TransactionDatabase | None = None) 
                 started = time.perf_counter()
                 band, hist = _band_from_config(db, config)
                 _, cleansing = cleanse_database(db, band, hist)
-                arm_db = remap(db, cleansing.id_map, db.transactions)
+                arm_db = remap(db, cleansing.id_map)
                 seconds["cleanse"] = time.perf_counter() - started
                 arm["cleansing"] = cleansing.to_json_dict()
                 if arm_db.n == 0:

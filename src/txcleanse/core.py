@@ -1,9 +1,10 @@
 """Shared domain types: interned items, transactions, transaction databases.
 
-A transaction is a duplicate-free set of items; a database is an ordered
-list of transactions sharing one item dictionary. Item ids are dense
-integers assigned in first-seen order, so a database serializes and
-re-ingests to an identical value.
+A transaction is a duplicate-free set of items; a database is two
+positional tuples: its item strings, where an item's id is the position of
+its normalized string, and its transactions, where a transaction's tid is
+its position. Item ids are dense integers assigned in first-seen order, so
+a database serializes and re-ingests to an identical value.
 """
 
 from __future__ import annotations
@@ -22,42 +23,6 @@ class ParseError(ValueError):
 def normalize_item(raw: str) -> str:
     """Canonical item form: trimmed, lowercased, inner whitespace collapsed."""
     return " ".join(raw.split()).lower()
-
-
-class ItemDictionary:
-    """Item strings in id order: an item's id is the position of its
-    normalized string, so ids are dense 0..m-1 in first-seen order."""
-
-    __slots__ = ("_strings",)
-
-    def __init__(self, strings: Iterable[str] = ()) -> None:
-        """``strings``: the distinct normalized item strings, in id order."""
-        self._strings: tuple[str, ...] = tuple(strings)
-
-    def __len__(self) -> int:
-        return len(self._strings)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ItemDictionary):
-            return NotImplemented
-        return self._strings == other._strings
-
-    def __repr__(self) -> str:
-        return f"ItemDictionary({len(self._strings)} items)"
-
-    def lookup(self, item_id: ItemId) -> str:
-        return self._strings[item_id]
-
-    def id_of(self, raw: str) -> ItemId | None:
-        """Id of a known item, or None: a linear scan, kept for tests and inspection."""
-        try:
-            return self._strings.index(normalize_item(raw))
-        except ValueError:
-            return None
-
-    def strings(self) -> tuple[str, ...]:
-        """All item strings in id order."""
-        return self._strings
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,9 +77,9 @@ def _sorted_transaction(tid: int, items: tuple[ItemId, ...], label: str | None) 
 
 @dataclass(frozen=True)
 class TransactionDatabase:
-    """Ordered transactions over one shared dictionary. Immutable once built."""
+    """Item strings in id order, transactions in tid order. Immutable once built."""
 
-    dictionary: ItemDictionary
+    strings: tuple[str, ...]
     transactions: tuple[Transaction, ...]
 
     @property
@@ -125,7 +90,7 @@ class TransactionDatabase:
     @property
     def m(self) -> int:
         """Distinct item count."""
-        return len(self.dictionary)
+        return len(self.strings)
 
     def __iter__(self) -> Iterator[Transaction]:
         return iter(self.transactions)
@@ -134,11 +99,11 @@ class TransactionDatabase:
         return len(self.transactions)
 
     def item_string(self, item_id: ItemId) -> str:
-        return self.dictionary.lookup(item_id)
+        return self.strings[item_id]
 
     def item_strings(self, t: Transaction) -> list[str]:
         """Item strings of one transaction, in id order."""
-        return list(map(self.dictionary.strings().__getitem__, t.items))
+        return list(map(self.strings.__getitem__, t.items))
 
     def total_occurrences(self) -> int:
         """Sum of |T| over all transactions."""
@@ -186,7 +151,7 @@ class DatabaseBuilder:
         return True
 
     def build(self) -> TransactionDatabase:
-        return TransactionDatabase(ItemDictionary(self._ids), tuple(self._transactions))
+        return TransactionDatabase(tuple(self._ids), tuple(self._transactions))
 
 
 def database_from_items(item_lists: Iterable[Iterable[str]]) -> TransactionDatabase:
@@ -197,19 +162,14 @@ def database_from_items(item_lists: Iterable[Iterable[str]]) -> TransactionDatab
     return builder.build()
 
 
-def remap(
-    db: TransactionDatabase,
-    id_map: Mapping[ItemId, ItemId],
-    transactions: Iterable[Transaction],
-) -> TransactionDatabase:
-    """Database of ``transactions`` (drawn from ``db``) with every item id
-    rewritten through ``id_map``.
+def remap(db: TransactionDatabase, id_map: Mapping[ItemId, ItemId]) -> TransactionDatabase:
+    """``db`` with every item id rewritten through ``id_map``.
 
     ``id_map`` must be order-preserving (old ids a < b map to new ids
     a' < b') and onto 0..len(id_map)-1. Nothing checks it: the remapped
-    transactions skip ``Transaction``'s order check. The new dictionary
-    holds the mapped items' strings in new-id order, reusing ``db``'s
-    normalized strings.
+    transactions skip ``Transaction``'s order check. The new strings are
+    the mapped items' strings in new-id order, reusing ``db``'s normalized
+    strings.
     Items missing from ``id_map`` are dropped, transactions left empty are
     dropped, and survivors keep their order and labels under fresh dense tids.
     """
@@ -217,10 +177,10 @@ def remap(
     names: list[str] = [""] * len(id_map)
     for old, new in id_map.items():
         new_ids[old] = new
-        names[new] = db.dictionary.lookup(old)
+        names[new] = db.strings[old]
     kept: list[Transaction] = []
-    for t in transactions:
+    for t in db.transactions:
         items = tuple([j for i in t.items if (j := new_ids[i]) is not None])
         if items:
             kept.append(_sorted_transaction(len(kept), items, t.label))
-    return TransactionDatabase(ItemDictionary(names), tuple(kept))
+    return TransactionDatabase(tuple(names), tuple(kept))

@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import DatabaseBuilder, ParseError, TransactionDatabase, remap
+from .core import DatabaseBuilder, ParseError, TransactionDatabase
 
 log = logging.getLogger(__name__)
 
@@ -87,7 +87,7 @@ def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t",
                            strings: Sequence[str | None] | None = None) -> Iterator[str]:
     """Yield one line per transaction (no trailing newline), items in id order.
 
-    ``strings``, an m-entry table, replaces the dictionary's strings; its
+    ``strings``, an m-entry table, replaces ``db.strings``; its
     None entries are left out, and so is a line left with no item. The lines
     re-read (``parse_transactions(lines, d)``) as ``db``, labels aside, when
     its ids are first-seen and its strings normalized, as every parser builds
@@ -95,7 +95,7 @@ def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t",
     starts with ``#``, nor line 1 with U+FEFF. ``write_transactions`` refuses
     to write any other lines.
     """
-    table = db.dictionary.strings() if strings is None else strings
+    table = db.strings if strings is None else strings
     for t in db.transactions:
         if line := delimiter.join(filter(None, map(table.__getitem__, t.items))):
             yield line
@@ -106,7 +106,7 @@ def write_transactions(db: TransactionDatabase, path, delimiter: str = "\t",
     """Write the lines of ``serialize_transactions(db, delimiter, strings)``,
     each ended by ``\\n``; raise ``ParseError`` naming the item, before
     ``path`` is opened, if they would not re-read as written."""
-    written = [s for s in (db.dictionary.strings() if strings is None else strings) if s]
+    written = [s for s in (db.strings if strings is None else strings) if s]
     for s in written:
         if (s + delimiter).find(delimiter) != len(s):
             raise ParseError(f"item {s!r} contains the delimiter {delimiter!r}")
@@ -249,21 +249,21 @@ def parse_keyword_registration(
 
 
 def truncate(db: TransactionDatabase, limit: int) -> TransactionDatabase:
-    """First ``limit`` transactions as a fresh database with a compacted
-    dictionary (head-of-file truncation for scaling runs).
+    """First ``limit`` transactions over the id prefix they use (head-of-file
+    truncation for scaling runs).
 
-    Ids are assigned in first-seen order, so the head uses exactly the id
-    prefix 0..(largest id in the head). The result is the identity remap
-    onto that prefix: item ids, strings, transaction order and labels are
-    kept as they are.
+    Exact when ids are first-seen, tids are positions and no transaction is
+    empty, as every parser, ``DatabaseBuilder`` and ``cleanse`` guarantee:
+    the head then uses exactly the ids 0..(largest id in the head), and its
+    tids stay its positions. The result shares the head's own transactions
+    and the prefix of ``db.strings``; nothing is copied.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit >= db.n:
         return db
     head = db.transactions[:limit]
-    top = max((t.items[-1] for t in head if t.items), default=-1)
-    return remap(db, {i: i for i in range(top + 1)}, head)
+    return TransactionDatabase(db.strings[:max(t.items[-1] for t in head) + 1], head)
 
 
 __all__ = [

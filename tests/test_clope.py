@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import letters_db, random_db
 from txcleanse import (
     ClusterSummary,
-    ItemDictionary,
     SyntheticSpec,
     Transaction,
     TransactionDatabase,
@@ -171,7 +170,7 @@ class TestClopeCluster:
             clope_cluster(database_from_items([]), 1.5)
 
     def test_empty_transaction_rejected(self):
-        db = TransactionDatabase(ItemDictionary(["a"]), (Transaction(0, (0,)), Transaction(1, ())))
+        db = TransactionDatabase(("a",), (Transaction(0, (0,)), Transaction(1, ())))
         with pytest.raises(ValueError, match="empty"):
             clope_cluster(db, 1.5)
 
@@ -182,7 +181,7 @@ class TestClopeCluster:
         (((0, (0, 1)), (1, (-1, 0))), r"transaction 1 has an item id outside 0\.\.1"),
     ], ids=["tids-from-5", "tid-0-twice", "item-past-m", "negative-item"])
     def test_malformed_database_rejected(self, transactions, named):
-        db = TransactionDatabase(ItemDictionary(["a", "b"]),
+        db = TransactionDatabase(("a", "b"),
                                  tuple(Transaction(tid, items) for tid, items in transactions))
         with pytest.raises(ValueError, match=named):
             clope_cluster(db, 1.5)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from txcleanse import (
     DatabaseBuilder,
-    ItemDictionary,
     ManualBand,
     Transaction,
     TransactionDatabase,
@@ -68,17 +67,17 @@ def test_normalize_item_is_idempotent_on_every_code_point():
         assert mismatch is None
 
 
-class TestItemDictionary:
-    # Ids are handed out by DatabaseBuilder; the dictionary is their strings.
+class TestItemIds:
+    # Ids are handed out by DatabaseBuilder; db.strings holds their strings.
     def test_first_insertion_gets_id_zero(self):
         db = database_from_items([["disneyland"]])
         assert db.transactions[0].items == (0,)
-        assert db.dictionary.lookup(0) == "disneyland"
+        assert db.strings[0] == "disneyland"
 
     def test_reintern_is_idempotent(self):
         db = database_from_items([["disneyland"], ["disneyland"], [" Disneyland "]])
         assert [t.items for t in db] == [(0,), (0,), (0,)]
-        assert len(db.dictionary) == 1
+        assert db.m == 1
 
     def test_dense_next_id(self):
         b = DatabaseBuilder()
@@ -87,28 +86,19 @@ class TestItemDictionary:
         b.add(["ichiro", "c"])
         db = b.build()
         assert [t.items for t in db] == [(0, 1, 2), (0, 3, 4), (2, 5)]
-        assert db.dictionary.strings() == ("a", "b", "c", "d", "e", "ichiro")
+        assert db.strings == ("a", "b", "c", "d", "e", "ichiro")
 
     def test_lookup_roundtrip(self):
         words = ["major league", "ichiro", "baseball cap"]
-        d = database_from_items([words]).dictionary
-        assert [d.lookup(d.id_of(word)) for word in words] == words
-        assert d.id_of("ichiro") == 1
-        assert d.id_of("unseen") is None
-
-    def test_built_from_strings(self):
-        d = ItemDictionary(["a", "b c"])
-        assert d.strings() == ("a", "b c")
-        assert d.strings() is d.strings()
-        assert d.lookup(1) == "b c"
-        assert d.id_of(" B  C") == 1
-        assert d.id_of("d") is None
-        assert d == ItemDictionary(("a", "b c")) != ItemDictionary(["b c", "a"])
+        strings = database_from_items([words]).strings
+        assert [strings[strings.index(word)] for word in words] == words
+        assert strings.index("ichiro") == 1
+        assert "unseen" not in strings
 
     def test_empty_after_normalization_rejected(self):
         b = DatabaseBuilder()
         assert b.add(["   "]) is False
-        assert len(b.build().dictionary) == 0
+        assert b.build().m == 0
 
 
 class TestTransaction:
@@ -148,7 +138,7 @@ class TestDatabaseBuilder:
         b.add(["B", "a", "c"])
         assert calls == ["B", "c"]
         db = b.build()
-        assert db.dictionary.strings() == ("a", "b", "c")
+        assert db.strings == ("a", "b", "c")
         assert [t.items for t in db] == [(0,), (0, 1, 2)]
 
     def test_duplicates_within_transaction_dropped(self):
@@ -157,7 +147,7 @@ class TestDatabaseBuilder:
 
     def test_spellings_of_one_item_share_its_first_seen_id(self):
         db = database_from_items([["B", " b ", "a", "B"]])
-        assert db.dictionary.strings() == ("b", "a")
+        assert db.strings == ("b", "a")
         assert db.transactions[0].items == (0, 1)
 
     def test_all_empty_transaction_not_added(self):
@@ -208,7 +198,7 @@ def set_comprehension_database(item_lists) -> TransactionDatabase:
         ids = {known.setdefault(n, len(known)) for r in raw_items if (n := normalize_item(r))}
         if ids:
             transactions.append(Transaction(len(transactions), tuple(sorted(ids))))
-    return TransactionDatabase(ItemDictionary(known), tuple(transactions))
+    return TransactionDatabase(tuple(known), tuple(transactions))
 
 
 # Normalized strings, their case and whitespace respellings, and items that
@@ -231,7 +221,7 @@ _spelled_item = st.builds(lambda w, spell: spell(w), st.sampled_from(_WORDS),
 def test_builder_matches_set_comprehension_oracle(item_lists):
     db = database_from_items(item_lists)
     expected = set_comprehension_database(item_lists)
-    assert db.dictionary.strings() == expected.dictionary.strings()
+    assert db.strings == expected.strings
     assert [t.items for t in db] == [t.items for t in expected]
     assert db == expected
 
@@ -268,7 +258,7 @@ def test_builder_and_remap_transactions_equal_their_checked_rebuild(rows, data):
 
     keep = data.draw(st.lists(st.booleans(), min_size=db.m, max_size=db.m))
     id_map = {old: new for new, old in enumerate(i for i, k in enumerate(keep) if k)}
-    assert_equal_to_checked_rebuild(core.remap(db, id_map, db.transactions))
+    assert_equal_to_checked_rebuild(core.remap(db, id_map))
 
     lower = data.draw(st.integers(1, 4))
     upper = data.draw(st.sampled_from([lower, lower + 2, math.inf]))

@@ -85,7 +85,7 @@ class TestRoundTrip:
         from txcleanse import normalize_item
 
         db = parse_transactions(["  Amusement   PARK \tB\t b "])
-        assert all(normalize_item(s) == s for s in db.dictionary.strings())
+        assert all(normalize_item(s) == s for s in db.strings)
 
     @given(
         st.lists(
@@ -325,7 +325,7 @@ class TestSessionize:
 
     def test_user_id_is_not_an_item(self):
         db = sessionize([_record("37264", "disneyland")])
-        assert db.dictionary.id_of("37264") is None
+        assert "37264" not in db.strings
         assert db.m == 1
 
     def test_figure_users(self):
@@ -370,7 +370,7 @@ class TestKeywordRegistration:
         assert db.n == 1
         assert set(db.item_strings(db.transactions[0])) == {"baseball", "ichiro"}
         assert db.transactions[0].label == "example.com"
-        assert db.dictionary.id_of("example.com") is None
+        assert "example.com" not in db.strings
 
     def test_shared_keyword_counts_twice(self):
         from txcleanse import item_frequencies
@@ -379,7 +379,7 @@ class TestKeywordRegistration:
             ["a.com\tbaseball\tichiro", "b.com\tbaseball"]
         )
         hist = item_frequencies(db)
-        assert hist.per_item[db.dictionary.id_of("baseball")] == 2
+        assert hist.per_item[db.strings.index("baseball")] == 2
 
     def test_url_without_keywords_skipped(self):
         warnings = []
@@ -393,8 +393,11 @@ class TestTruncate:
         db = database_from_items([["a", "b"], ["c"], ["d"]])
         cut = truncate(db, 2)
         assert cut.n == 2
-        assert cut.m == 3  # d is gone from the dictionary
-        assert cut.dictionary.id_of("d") is None
+        assert cut.m == 3  # d is gone from the item strings
+        assert "d" not in cut.strings
+        # the head's transactions and the id prefix of the strings are shared, not copied
+        assert cut.strings == db.strings[:3]
+        assert all(c is t for c, t in zip(cut.transactions, db.transactions[:2], strict=True))
 
     def test_limit_at_or_beyond_n_is_identity(self):
         db = database_from_items([["a"], ["b"]])
@@ -474,7 +477,7 @@ class TestByteOrderMark:
 
     def test_only_one_leading_mark_is_dropped(self):
         db = parse_transactions(["\ufeff\ufeffa\n", "\ufeffb\n"])
-        assert db.dictionary.strings() == ("\ufeffa", "\ufeffb")
+        assert db.strings == ("\ufeffa", "\ufeffb")
 
 
 # Boundary tests: any file is either parsed or refused with ParseError, and

@@ -35,7 +35,7 @@ def rebuild_cleanse(db, band):
             pruned += 1
     cleansed = builder.build()
     id_map = {
-        old: cleansed.dictionary.id_of(db.item_string(old))
+        old: cleansed.strings.index(db.item_string(old))
         for old, v in verdict.items()
         if v == 0
     }
@@ -87,7 +87,7 @@ def _keyword_db(lines):
 
 
 def _assert_same_database(actual, expected):
-    assert actual.dictionary.strings() == expected.dictionary.strings()
+    assert actual.strings == expected.strings
     assert [t.tid for t in actual] == [t.tid for t in expected]
     assert [t.items for t in actual] == [t.items for t in expected]
     assert [t.label for t in actual] == [t.label for t in expected]
