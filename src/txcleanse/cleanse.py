@@ -62,7 +62,7 @@ class FrequencyHistogram:
 
 def item_frequencies(db: TransactionDatabase) -> FrequencyHistogram:
     """Count, for every item, the number of transactions containing it."""
-    counts = Counter(chain.from_iterable(t.items for t in db.transactions))
+    counts = Counter(chain.from_iterable(db.rows))
     marginal = tuple(sorted(Counter(counts.values()).items()))
     return FrequencyHistogram(per_item=dict(counts), marginal=marginal)
 
@@ -311,7 +311,7 @@ def plan_cleanse(db: TransactionDatabase, band: Band, hist: FrequencyHistogram |
     id_map = {old: new for new, old in enumerate(retained)}
     kept = [s if i in id_map else None for i, s in enumerate(db.strings)]
     # A transaction survives iff it holds a retained item.
-    emptied = sum(1 for t in db.transactions if id_map.keys().isdisjoint(t.items))
+    emptied = sum(map(id_map.keys().isdisjoint, db.rows))
     report = CleansingReport(counts[-1], counts[1], len(retained), emptied, db.n - emptied,
                              fit=band, id_map=id_map)
     return kept, report

@@ -256,8 +256,9 @@ class _Placer:
         except IndexError:
             return _gain(occurrences, width, members, self.r) - gain
 
-    def best(self, t: Transaction, home: int | None = None) -> int | None:
-        """The id of the cluster ``t`` should join, or None for a fresh one.
+    def best(self, items: tuple[ItemId, ...], home: int | None = None) -> int | None:
+        """The id of the cluster that transaction t, whose row is ``items``,
+        should join, or None for a fresh one.
 
         ``home``, the cluster that holds ``t`` in refinement, is the baseline
         and wins ties; among the other clusters the greatest delta wins, and
@@ -266,7 +267,6 @@ class _Placer:
         in ascending id, with ``t`` taken out of its home, and taking over
         only on a strictly greater delta.
         """
-        items = t.items
         s = len(items)
         stats = self.stats
         # overlap counts, only for the clusters that share an item with t
@@ -319,7 +319,7 @@ class _Placer:
             return None
         return best_cid
 
-    def add(self, cid: int, t: Transaction) -> None:
+    def add(self, cid: int, items: tuple[ItemId, ...]) -> None:
         if cid not in self.stats:
             self.stats[cid] = (0, 0, 1, 0.0)
             self.cids.append(cid)
@@ -327,19 +327,19 @@ class _Placer:
                 column.append(-math.inf)
         S, W, N1, _ = self.stats[cid]
         index = self.index
-        for item in t.items:
+        for item in items:
             row = index[item]
             if cid in row:
                 row[cid] += 1
             else:
                 row[cid] = 1
                 W += 1
-        self._restat(cid, S + len(t.items), W, N1 + 1)
+        self._restat(cid, S + len(items), W, N1 + 1)
 
-    def remove(self, cid: int, t: Transaction) -> None:
+    def remove(self, cid: int, items: tuple[ItemId, ...]) -> None:
         S, W, N1, _ = self.stats[cid]
         index = self.index
-        for item in t.items:
+        for item in items:
             row = index[item]
             count = row[cid]
             if count == 1:
@@ -359,7 +359,7 @@ class _Placer:
                 elif tops[s] == slot:
                     tops[s] = -1
         else:
-            self._restat(cid, S - len(t.items), W, N1 - 1)
+            self._restat(cid, S - len(items), W, N1 - 1)
 
     def _restat(self, cid: int, S: int, W: int, N1: int) -> None:
         G = _gain(S, W, N1 - 1, self.r)
@@ -412,26 +412,21 @@ def clope_cluster(
         raise ValueError("max_passes must be >= 1")
     if db.n == 0:
         raise ValueError("cannot cluster an empty database")
-    for tid, t in enumerate(db.transactions):
-        if t.tid != tid:
-            raise ValueError(f"transaction {t.tid} is at position {tid}; tids must be positions")
-        if not t.items:
-            raise ValueError(f"transaction {t.tid} is empty; cleanse before clustering")
-        if t.items[0] < 0 or t.items[-1] >= db.m:
-            raise ValueError(f"transaction {t.tid} has an item id outside 0..{db.m - 1}")
+    rows = db.rows
+    if not all(rows):
+        raise ValueError(f"transaction {rows.index(())} is empty; cleanse before clustering")
 
-    transactions = db.transactions
-    placer = _Placer(db.m, {len(t.items) for t in transactions}, repulsion)
+    placer = _Placer(db.m, set(map(len, rows)), repulsion)
     assignment = [0] * db.n
     fresh_ids = itertools.count()
 
     started = time.perf_counter()
-    for t in transactions:
-        cid = placer.best(t)
+    for tid, row in enumerate(rows):
+        cid = placer.best(row)
         if cid is None:
             cid = next(fresh_ids)
-        placer.add(cid, t)
-        assignment[t.tid] = cid
+        placer.add(cid, row)
+        assignment[tid] = cid
     seconds_add = time.perf_counter() - started
 
     profits = [placer.profit(db.n)]
@@ -441,21 +436,21 @@ def clope_cluster(
     last_move = db.n
     for _ in range(max_passes):
         moves = 0
-        for t in transactions:
+        for tid, row in enumerate(rows):
             # Past the last move, with none made since, each transaction would
             # stay where its last placement left it.
-            if t.tid > last_move and not moves:
+            if tid > last_move and not moves:
                 break
-            home = assignment[t.tid]
-            cid = placer.best(t, home)
+            home = assignment[tid]
+            cid = placer.best(row, home)
             if cid == home:
                 continue
             if cid is None:
                 cid = next(fresh_ids)
-            placer.remove(home, t)
-            placer.add(cid, t)
-            assignment[t.tid] = cid
-            last_move = t.tid
+            placer.remove(home, row)
+            placer.add(cid, row)
+            assignment[tid] = cid
+            last_move = tid
             moves += 1
         moves_per_pass.append(moves)
         profits.append(placer.profit(db.n))

@@ -1,16 +1,18 @@
 """Shared domain types: interned items, transactions, transaction databases.
 
-A transaction is a duplicate-free set of items; a database is two
-positional tuples: its item strings, where an item's id is the position of
-its normalized string, and its transactions, where a transaction's tid is
-its position. Item ids are dense integers assigned in first-seen order, so
-a database serializes and re-ingests to an identical value.
+A transaction is a duplicate-free set of items; a database is three
+positional tuples: item strings (an item's id is its string's position),
+rows (each one transaction's strictly increasing ids; its tid is the row's
+position) and one label per row. Ids are dense and first-seen, so a
+database serializes and re-ingests to an identical value.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 ItemId = int
@@ -29,15 +31,10 @@ def normalize_item(raw: str) -> str:
 class Transaction:
     """A duplicate-free item set with a positional id.
 
-    ``items`` is strictly increasing, so set equality equals tuple equality.
-    ``label`` carries an external tag (e.g. the URL of a keyword-registration
-    line) and never participates in similarity or clustering.
-
-    The constructor checks that order, which guards hand-built instances.
-    ``DatabaseBuilder.add`` and ``remap`` skip it through ``_sorted_transaction``:
-    the builder sorts a set of ids and ``remap`` maps an increasing tuple
-    through an order-preserving id map, so their items are increasing by
-    construction and the check would only repeat work on every transaction.
+    ``items`` is strictly increasing, so set equality equals tuple equality;
+    the constructor checks that order. ``label`` carries an external tag
+    (e.g. the URL of a keyword-registration line) and never participates in
+    similarity or clustering.
     """
 
     tid: int
@@ -58,34 +55,40 @@ class Transaction:
         return set(self.items)
 
 
-# The slots' member descriptors write past the frozen dataclass's __setattr__.
-_new_object = object.__new__
-_set_tid = Transaction.tid.__set__
-_set_items = Transaction.items.__set__
-_set_label = Transaction.label.__set__
-
-
-def _sorted_transaction(tid: int, items: tuple[ItemId, ...], label: str | None) -> Transaction:
-    """Transaction whose ``items`` the caller guarantees strictly increasing:
-    the slots are set directly, so ``__post_init__``'s check is skipped."""
-    t = _new_object(Transaction)
-    _set_tid(t, tid)
-    _set_items(t, items)
-    _set_label(t, label)
-    return t
-
-
 @dataclass(frozen=True)
 class TransactionDatabase:
-    """Item strings in id order, transactions in tid order. Immutable once built."""
+    """Item strings in id order; rows and their labels (None for none) in
+    tid order. Immutable once built.
+
+    The constructor refuses, with ``ValueError`` naming the row, a row that
+    is not strictly increasing or holds an id outside ``0..m-1``, and
+    ``labels`` of another length than ``rows``.
+    """
 
     strings: tuple[str, ...]
-    transactions: tuple[Transaction, ...]
+    rows: tuple[tuple[ItemId, ...], ...]
+    labels: tuple[str | None, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.labels) != len(self.rows):
+            raise ValueError(f"{len(self.labels)} labels for {len(self.rows)} rows")
+        m = len(self.strings)
+        lt = operator.lt
+        for tid, row in enumerate(self.rows):
+            if not all(map(lt, row, row[1:])):
+                raise ValueError(f"row {tid}: items not strictly increasing")
+            if row and (row[0] < 0 or row[-1] >= m):
+                raise ValueError(f"row {tid} has an item id outside 0..{m - 1}")
+
+    @cached_property
+    def transactions(self) -> tuple[Transaction, ...]:
+        """The rows as ``Transaction`` values, built on first access and kept."""
+        return tuple(map(Transaction, itertools.count(), self.rows, self.labels))
 
     @property
     def n(self) -> int:
         """Transaction count."""
-        return len(self.transactions)
+        return len(self.rows)
 
     @property
     def m(self) -> int:
@@ -96,7 +99,7 @@ class TransactionDatabase:
         return iter(self.transactions)
 
     def __len__(self) -> int:
-        return len(self.transactions)
+        return len(self.rows)
 
     def item_string(self, item_id: ItemId) -> str:
         return self.strings[item_id]
@@ -107,7 +110,7 @@ class TransactionDatabase:
 
     def total_occurrences(self) -> int:
         """Sum of |T| over all transactions."""
-        return sum(len(t) for t in self.transactions)
+        return sum(map(len, self.rows))
 
 
 class DatabaseBuilder:
@@ -120,7 +123,8 @@ class DatabaseBuilder:
 
     def __init__(self) -> None:
         self._ids: dict[str, ItemId] = {}
-        self._transactions: list[Transaction] = []
+        self._rows: list[tuple[ItemId, ...]] = []
+        self._labels: list[str | None] = []
 
     def add(self, raw_items: Iterable[str], label: str | None = None) -> bool:
         """Append one transaction. Returns False (and adds nothing) when every
@@ -145,13 +149,12 @@ class DatabaseBuilder:
             }
         if not ids:
             return False
-        self._transactions.append(
-            _sorted_transaction(len(self._transactions), tuple(sorted(ids)), label)
-        )
+        self._rows.append(tuple(sorted(ids)))
+        self._labels.append(label)
         return True
 
     def build(self) -> TransactionDatabase:
-        return TransactionDatabase(tuple(self._ids), tuple(self._transactions))
+        return TransactionDatabase(tuple(self._ids), tuple(self._rows), tuple(self._labels))
 
 
 def database_from_items(item_lists: Iterable[Iterable[str]]) -> TransactionDatabase:
@@ -166,21 +169,17 @@ def remap(db: TransactionDatabase, id_map: Mapping[ItemId, ItemId]) -> Transacti
     """``db`` with every item id rewritten through ``id_map``.
 
     ``id_map`` must be order-preserving (old ids a < b map to new ids
-    a' < b') and onto 0..len(id_map)-1. Nothing checks it: the remapped
-    transactions skip ``Transaction``'s order check. The new strings are
-    the mapped items' strings in new-id order, reusing ``db``'s normalized
-    strings.
-    Items missing from ``id_map`` are dropped, transactions left empty are
-    dropped, and survivors keep their order and labels under fresh dense tids.
+    a' < b') and onto 0..len(id_map)-1; the constructor refuses a row
+    that another map leaves out of order. The new strings are the mapped
+    items' strings in new-id order, reusing ``db``'s strings. Items missing
+    from ``id_map`` are dropped, rows left empty are dropped, and survivors
+    keep their order and labels; their tids are their new positions.
     """
     new_ids: list[ItemId | None] = [None] * db.m
     names: list[str] = [""] * len(id_map)
     for old, new in id_map.items():
         new_ids[old] = new
         names[new] = db.strings[old]
-    kept: list[Transaction] = []
-    for t in db.transactions:
-        items = tuple([j for i in t.items if (j := new_ids[i]) is not None])
-        if items:
-            kept.append(_sorted_transaction(len(kept), items, t.label))
-    return TransactionDatabase(tuple(names), tuple(kept))
+    mapped = [tuple([j for i in row if (j := new_ids[i]) is not None]) for row in db.rows]
+    return TransactionDatabase(tuple(names), tuple(filter(None, mapped)),
+                               tuple(itertools.compress(db.labels, mapped)))

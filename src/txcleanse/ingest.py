@@ -96,8 +96,8 @@ def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t",
     to write any other lines.
     """
     table = db.strings if strings is None else strings
-    for t in db.transactions:
-        if line := delimiter.join(filter(None, map(table.__getitem__, t.items))):
+    for row in db.rows:
+        if line := delimiter.join(filter(None, map(table.__getitem__, row))):
             yield line
 
 
@@ -252,18 +252,19 @@ def truncate(db: TransactionDatabase, limit: int) -> TransactionDatabase:
     """First ``limit`` transactions over the id prefix they use (head-of-file
     truncation for scaling runs).
 
-    Exact when ids are first-seen, tids are positions and no transaction is
-    empty, as every parser, ``DatabaseBuilder`` and ``cleanse`` guarantee:
-    the head then uses exactly the ids 0..(largest id in the head), and its
-    tids stay its positions. The result shares the head's own transactions
-    and the prefix of ``db.strings``; nothing is copied.
+    Exact when ids are first-seen and no row is empty, as every parser,
+    ``DatabaseBuilder`` and ``cleanse`` guarantee: the head then uses
+    exactly the ids 0..(largest id in the head). The result shares the
+    head's own rows and labels and the prefix of ``db.strings``; no row is
+    copied.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit >= db.n:
         return db
-    head = db.transactions[:limit]
-    return TransactionDatabase(db.strings[:max(t.items[-1] for t in head) + 1], head)
+    head = db.rows[:limit]
+    return TransactionDatabase(db.strings[:max(row[-1] for row in head) + 1], head,
+                               db.labels[:limit])
 
 
 __all__ = [

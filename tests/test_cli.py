@@ -271,6 +271,21 @@ def test_run_pipeline_with_in_memory_database(tmp_path):
     assert (tmp_path / "pipeline_report.json").exists()
 
 
+def test_pipeline_never_builds_the_transaction_view(tmp_path):
+    db, _ = generate_synthetic(SyntheticSpec(transactions=200, clusters=5, seed=3))
+    run_pipeline(PipelineConfig(input_path="<memory>", out_dir=tmp_path), db=db)
+    assert "transactions" not in vars(db)
+
+
+def test_cleanse_command_path_never_builds_the_transaction_view(tmp_path):
+    from txcleanse.cleanse import plan_cleanse
+
+    db, _ = generate_synthetic(SyntheticSpec(transactions=200, clusters=5, seed=3))
+    kept, _ = plan_cleanse(db, ManualBand(2, 50))
+    ingest.write_transactions(db, tmp_path / "cleansed.tsv", "\t", kept)
+    assert "transactions" not in vars(db)
+
+
 def test_run_pipeline_refuses_zero_limit_before_making_a_directory(fig1_file, tmp_path):
     out = tmp_path / "out"
     config = PipelineConfig(input_path=str(fig1_file), out_dir=out, limit=0)

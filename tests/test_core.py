@@ -117,6 +117,32 @@ class TestTransaction:
         assert t.label == "example.com"
 
 
+class TestDatabaseConstructor:
+    def test_rows_and_labels_make_the_transactions(self):
+        db = TransactionDatabase(("a", "b", "c"), ((0, 2), (1,)), ("x", None))
+        assert db.n == 2 and db.m == 3
+        assert db.transactions == (Transaction(0, (0, 2), "x"), Transaction(1, (1,)))
+        assert list(db) == list(db.transactions)
+
+    def test_transaction_view_is_built_on_first_access_and_kept(self):
+        db = database_from_items([["a", "b"], ["c"]])
+        assert "transactions" not in vars(db)
+        view = db.transactions
+        assert db.transactions is view
+        assert vars(db)["transactions"] is view
+
+    @pytest.mark.parametrize("rows, labels, named", [
+        (((0, 1), (0, 7)), (None, None), r"row 1 has an item id outside 0\.\.1"),
+        (((0, 1), (-1, 0)), (None, None), r"row 1 has an item id outside 0\.\.1"),
+        (((0,), (1, 0)), (None, None), "row 1: items not strictly increasing"),
+        (((0, 0), (1,)), (None, None), "row 0: items not strictly increasing"),
+        (((0,), (1,)), (None,), "1 labels for 2 rows"),
+    ], ids=["item-past-m", "negative-item", "unsorted-row", "duplicate-id", "labels-short"])
+    def test_malformed_database_rejected(self, rows, labels, named):
+        with pytest.raises(ValueError, match=named):
+            TransactionDatabase(("a", "b"), rows, labels)
+
+
 class TestDatabaseBuilder:
     def test_known_items_are_not_normalized_again(self, monkeypatch):
         b = DatabaseBuilder()
@@ -193,12 +219,12 @@ def set_comprehension_database(item_lists) -> TransactionDatabase:
     """The builder before its known-item fast path: every raw item is
     normalized, then interned in input order."""
     known: dict[str, int] = {}
-    transactions = []
+    rows = []
     for raw_items in item_lists:
         ids = {known.setdefault(n, len(known)) for r in raw_items if (n := normalize_item(r))}
         if ids:
-            transactions.append(Transaction(len(transactions), tuple(sorted(ids))))
-    return TransactionDatabase(tuple(known), tuple(transactions))
+            rows.append(tuple(sorted(ids)))
+    return TransactionDatabase(tuple(known), tuple(rows), (None,) * len(rows))
 
 
 # Normalized strings, their case and whitespace respellings, and items that
@@ -247,8 +273,8 @@ _labelled_rows = st.lists(
 
 @given(_labelled_rows, st.data())
 def test_builder_and_remap_transactions_equal_their_checked_rebuild(rows, data):
-    # DatabaseBuilder.add and remap skip the order check; what they build
-    # must be what the checked constructor builds.
+    # Every database builds its transaction view through the checked
+    # constructor; the views must equal their checked rebuild.
     builder = DatabaseBuilder()
     for items, label in rows:
         builder.add(items, label)

@@ -395,9 +395,10 @@ class TestTruncate:
         assert cut.n == 2
         assert cut.m == 3  # d is gone from the item strings
         assert "d" not in cut.strings
-        # the head's transactions and the id prefix of the strings are shared, not copied
+        # the head's rows and labels and the id prefix of the strings are shared, not copied
         assert cut.strings == db.strings[:3]
-        assert all(c is t for c, t in zip(cut.transactions, db.transactions[:2], strict=True))
+        assert all(c is r for c, r in zip(cut.rows, db.rows[:2], strict=True))
+        assert cut.labels == db.labels[:2]
 
     def test_limit_at_or_beyond_n_is_identity(self):
         db = database_from_items([["a"], ["b"]])
