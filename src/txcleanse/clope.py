@@ -27,15 +27,20 @@ no item offers a delta that depends on the transaction only through its
 size; those deltas are kept per size and cluster, and the slot of each
 size's maximum is cached and kept up to date as clusters change, so a
 placement rescans a size's deltas only when its cached maximum fell or left.
-Per-pass work is O(n + sum of overlaps), plus one delta per size for each
-cluster change and O(k) for each rescan. A refinement pass that has moved
-nothing yet ends at the first transaction after the previous pass's last
-move: every later one stayed at its last placement, and nothing has changed
-since. Every delta is bit-identical to ``delta_add``'s. The index, one row
-per item id, is the only occurrence map: ``Clustering.clusters`` is read off
-it once, and each pass's profit sums the gains G the placer keeps.
-``delta_add``, ``ClusterSummary`` and ``profit`` stay as the oracles the
-tests compare the kernel against.
+An index row can hold only live clusters, so one that holds k of them (a
+near-ubiquitous item's, say) adds 1 to every overlap: such full rows are
+counted once, not once per cluster. A transaction with a full row overlaps
+every cluster, so all of them are scored, in ascending id, and the per-size
+maxima are not read; that placement costs O(sum of overlaps over the other
+rows + k). Per-pass work is O(n + sum of overlaps), less the full rows' share,
+plus one delta per size for each cluster change and O(k) for each rescan. A
+refinement pass that has moved nothing yet ends at the first transaction
+after the previous pass's last move: every later one stayed at its last
+placement, and nothing has changed since. Every delta is bit-identical to
+``delta_add``'s. The index, one row per item id, is the only occurrence map:
+``Clustering.clusters`` is read off it once, and each pass's profit sums the
+gains G the placer keeps. ``delta_add``, ``ClusterSummary`` and ``profit``
+stay as the oracles the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -222,7 +227,9 @@ class _Placer:
     and their overlaps with it, come from its items' rows alone;
     ``summaries()`` reads ClusterSummary objects off it. ``stats[cid]`` is
     ``(S, W, N + 1, G)`` of each live cluster in ascending id, G its current
-    gain, which ``profit()`` sums.
+    gain, which ``profit()`` sums. A row holds only live clusters, since a
+    cluster leaves a row when its count there reaches 0, so a row of
+    ``len(stats)`` entries is full: it holds every cluster.
 
     A cluster that shares no item with ``t`` offers ``(S+s) / pw[W+s] *
     (N+1) - G``, which depends on ``t`` only through its size s. So
@@ -266,52 +273,82 @@ class _Placer:
         These are exactly the choices of scanning delta_add over the clusters
         in ascending id, with ``t`` taken out of its home, and taking over
         only on a strictly greater delta.
+
+        A full row adds 1 to every overlap, so full rows are counted once, as
+        ``base``. When ``t`` has one, every cluster overlaps it and is scored:
+        O(entries of the other rows + k). Otherwise only the overlapping
+        clusters are scored, and the disjoint ones through a column maximum.
         """
-        s = len(items)
         stats = self.stats
-        # overlap counts, only for the clusters that share an item with t
-        ov = Counter(itertools.chain.from_iterable(map(self.index.__getitem__, items)))
-        if home is not None:
-            del ov[home]
+        k = len(stats)
+        if not k:
+            # every row is empty, and so trivially full: t opens a cluster
+            return None
+        s = len(items)
+        rows = list(map(self.index.__getitem__, items))
         best_cid, best = None, -math.inf
         pw = self.pw
-        for cid, o in ov.items():
-            S, W, N1, G = stats[cid]
-            try:
-                d = (S + s) / pw[W + s - o] * N1 - G
-            except IndexError:
-                d = _gain(S + s, W + s - o, N1, self.r) - G
-            if d > best or d == best and cid < best_cid:
-                best, best_cid = d, cid
+        if k in map(len, rows):
+            # Every cluster overlaps t, by ``base`` plus its count in the
+            # other rows. Scanned in ascending id, a strict > keeps the lowest
+            # id among equal deltas. The column is not read: each of its
+            # entries is at most its cluster's exact delta (see below).
+            partial = [row for row in rows if len(row) != k]
+            base = s - len(partial)
+            ov = Counter(itertools.chain.from_iterable(partial))
+            for cid, (S, W, N1, G) in stats.items():
+                if cid == home:
+                    continue
+                o = base + ov.get(cid, 0)
+                try:
+                    d = (S + s) / pw[W + s - o] * N1 - G
+                except IndexError:
+                    d = _gain(S + s, W + s - o, N1, self.r) - G
+                if d > best:
+                    best, best_cid = d, cid
+        else:
+            # overlap counts, only for the clusters that share an item with t
+            ov = Counter(itertools.chain.from_iterable(rows))
+            if home is not None:
+                del ov[home]
+            for cid, o in ov.items():
+                S, W, N1, G = stats[cid]
+                try:
+                    d = (S + s) / pw[W + s - o] * N1 - G
+                except IndexError:
+                    d = _gain(S + s, W + s - o, N1, self.r) - G
+                if d > best or d == best and cid < best_cid:
+                    best, best_cid = d, cid
 
-        # Overlap only narrows the width, so an overlapping cluster's column
-        # entry is at most its exact delta, already scored above. A column
-        # maximum above ``best`` is therefore a disjoint cluster's delta, and
-        # one equal to ``best`` is first held by a cluster whose exact delta
-        # equals ``best``: the lowest id among them wins the tie.
-        column = self.disjoint[s]
-        top_slot = self.tops[s]
-        if top_slot < 0 and column:
-            top_slot = self.tops[s] = column.index(max(column))
-        top = column[top_slot] if column else -math.inf
-        if home is not None:
-            slot = bisect_left(self.cids, home)
-            if top_slot == slot:
-                # The cached top is the home's own entry: the others' maximum
-                # is read with it held out, and is not cached.
-                held, column[slot] = column[slot], -math.inf
-                top = max(column)
-                top_slot = column.index(top)
-                column[slot] = held
-        if top >= best and top > -math.inf:
-            cid = self.cids[top_slot]
-            if top > best or cid < best_cid:
-                best, best_cid = top, cid
+            # Overlap only narrows the width, so an overlapping cluster's
+            # column entry is at most its exact delta, already scored above. A
+            # column maximum above ``best`` is therefore a disjoint cluster's
+            # delta, and one equal to ``best`` is first held by a cluster whose
+            # exact delta equals ``best``: the lowest id among them wins the
+            # tie.
+            column = self.disjoint[s]
+            top_slot = self.tops[s]
+            if top_slot < 0:
+                top_slot = self.tops[s] = column.index(max(column))
+            top = column[top_slot]
+            if home is not None:
+                slot = bisect_left(self.cids, home)
+                if top_slot == slot:
+                    # The cached top is the home's own entry: the others'
+                    # maximum is read with it held out, and is not cached.
+                    held, column[slot] = column[slot], -math.inf
+                    top = max(column)
+                    top_slot = column.index(top)
+                    column[slot] = held
+            if top >= best and top > -math.inf:
+                cid = self.cids[top_slot]
+                if top > best or cid < best_cid:
+                    best, best_cid = top, cid
         if home is not None:
             # t stays in its home: the home's delta is its gain minus the gain
             # it would have without t
             S, W, N1, G = stats[home]
-            ones = sum(self.index[item][home] == 1 for item in items)
+            ones = sum(row[home] == 1 for row in rows)
             d = G - _gain(S - s, W - ones, N1 - 2, self.r)
             if d >= best:
                 best, best_cid = d, home

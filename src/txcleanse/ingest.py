@@ -93,11 +93,13 @@ def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t",
     its ids are first-seen and its strings normalized, as every parser builds
     them, every written ``s`` has ``(s + d).find(d) == len(s)``, and no line
     starts with ``#``, nor line 1 with U+FEFF. ``write_transactions`` refuses
-    to write any other lines.
+    to write any other lines. A normalized string is never empty, and no
+    builder or ``remap`` makes one, so ``db.strings`` is written unfiltered.
     """
-    table = db.strings if strings is None else strings
+    item = (db.strings if strings is None else strings).__getitem__
     for row in db.rows:
-        if line := delimiter.join(filter(None, map(table.__getitem__, row))):
+        items = map(item, row)
+        if line := delimiter.join(items if strings is None else filter(None, items)):
             yield line
 
 

@@ -397,6 +397,37 @@ class TestKernelParity:
         db, _ = generate_synthetic(spec)
         _assert_matches_reference(db, r, 20)
 
+    @pytest.mark.parametrize("r", [0.5, 1.5, 300.0, 300])
+    def test_hubs_in_every_row(self, r):
+        # Every transaction holds the three hubs, so their index rows hold
+        # every live cluster at every placement after the first, and each
+        # placement takes the full-row scan.
+        spec = SyntheticSpec(transactions=200, clusters=8, items_per_cluster=10,
+                             picks_per_transaction=5, noise_rate=0.3, ubiquitous_items=3,
+                             ubiquity=1.0, seed=18)
+        db, _ = generate_synthetic(spec)
+        hubs = [db.strings.index(f"hub{h:02d}") for h in range(3)]
+        assert all(set(hubs) <= set(row) for row in db.rows)
+        for max_passes in (1, 20):
+            _assert_matches_reference(db, r, max_passes)
+
+    @pytest.mark.parametrize("r", [0.5, 1.5, 300.0, 300])
+    def test_random_databases_with_an_item_in_every_row(self, r):
+        # The wide databases hold 9 to 12 items per row, the hub included,
+        # so that at r=300.0 the widths from 11 on, past the power table,
+        # decide placements in the full-row scan.
+        rng = random.Random(1818)
+        vocab = [f"i{j}" for j in range(12)]
+        for _ in range(60):
+            db = random_db(rng, max_tx=rng.choice([10, 40]), max_vocab=rng.choice([4, 12]),
+                           max_size=rng.choice([6, 14]))
+            narrow = [[*map(db.strings.__getitem__, row), "hub"] for row in db.rows]
+            wide = [rng.sample(vocab, rng.randint(8, 11)) + ["hub"]
+                    for _ in range(rng.randint(3, 40))]
+            for rows in (narrow, wide):
+                for max_passes in (1, 20):
+                    _assert_matches_reference(database_from_items(rows), r, max_passes)
+
 
 def _assert_tops_are_first_maxima(placer):
     for s, column in placer.disjoint.items():
@@ -481,6 +512,47 @@ class TestCachedMaxima:
             assert placer.best(t.items, 2) == want
             assert placer.tops[2] == 2
             assert placer.disjoint[2] == column
+
+
+class TestFullRows:
+    """An index row that holds every live cluster adds 1 to every overlap:
+    ``best`` counts such rows once and scores every cluster but the home."""
+
+    # Clusters 0, 1 and 2 all hold h, and only 0 and 1 hold n; x is in none.
+    # All three have S=5, W=3 and N=2, so equal overlaps tie.
+    MEMBERS = {0: ("hna", "ha"), 1: ("hnb", "hb"), 2: ("hc", "hac")}
+    VOCAB = "hnabcx"
+
+    def _subsets(self):
+        return ["".join(c) for size in range(1, len(self.VOCAB) + 1)
+                for c in itertools.combinations(self.VOCAB, size)]
+
+    def test_first_placement_on_an_empty_placer(self):
+        db = letters_db(*self._subsets())
+        placer = _Placer(db.m, set(map(len, db.rows)), 1.5)
+        for t in db.transactions:
+            assert placer.best(t.items) is None
+            assert best_home({}, t, 1.5) is None
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.6, 300.0])
+    def test_every_subset_matches_the_reference(self, r):
+        members = [m for cid in sorted(self.MEMBERS) for m in self.MEMBERS[cid]]
+        db = letters_db(*members, *self._subsets())
+        placer = _Placer(db.m, set(map(len, db.rows)), r)
+        for cid, member in zip((0, 0, 1, 1, 2, 2), db.transactions):
+            placer.add(cid, member.items)
+        h, n = db.strings.index("h"), db.strings.index("n")
+        assert len(placer.index[h]) == len(placer.stats) == 3
+        assert sorted(placer.index[n]) == [0, 1]
+        for t in db.transactions[len(members):]:
+            assert placer.best(t.items) == best_home(placer.summaries(), t, r)
+            for home in sorted(self.MEMBERS):
+                placer.add(home, t.items)
+                summaries = placer.summaries()
+                summaries[home].remove(t)
+                assert placer.best(t.items, home) == best_home(summaries, t, r, home), (t, home)
+                placer.remove(home, t.items)
+                _assert_tops_are_first_maxima(placer)
 
 
 class TestTailExit:
