@@ -305,9 +305,9 @@ def plan_cleanse(db: TransactionDatabase, band: Band, hist: FrequencyHistogram |
     elif hist.item_count != db.m:
         raise ValueError(f"hist counts {hist.item_count} items but db has {db.m}: "
                          "it must be item_frequencies(db)")
-    verdict = {item: band.classify(f) for item, f in hist.per_item.items()}
-    retained = sorted(item for item, v in verdict.items() if v == 0)
-    counts = Counter(verdict.values())
+    verdicts = list(map(band.classify, hist.per_item.values()))
+    retained = sorted(item for item, v in zip(hist.per_item, verdicts) if v == 0)
+    counts = Counter(verdicts)
     id_map = {old: new for new, old in enumerate(retained)}
     kept = [s if i in id_map else None for i, s in enumerate(db.strings)]
     # A transaction survives iff it holds a retained item.

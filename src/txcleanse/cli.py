@@ -119,19 +119,18 @@ def _check_delimiter(delimiter: str) -> None:
 
 def load_database(path: str | Path, fmt: str, delimiter: str = "\t",
                   limit: int | None = None) -> TransactionDatabase:
-    """Parse an input file into a database, honoring the head truncation."""
+    """Parse an input file into a database of its first ``limit`` transactions.
+    The generic and keyword parsers stop reading there; a query log is read
+    whole, since a user's rows can come late, and then truncated."""
     with open(path, "rb") as fh:
         if fmt == "generic":
-            db = ingest.parse_transactions(fh, delimiter=delimiter)
-        elif fmt == "aol":
-            db = ingest.sessionize(ingest.iter_query_log(fh))
-        elif fmt == "keywords":
-            db = ingest.parse_keyword_registration(fh)
-        else:
+            return ingest.parse_transactions(fh, delimiter=delimiter, limit=limit)
+        if fmt == "keywords":
+            return ingest.parse_keyword_registration(fh, limit=limit)
+        if fmt != "aol":
             raise ParseError(f"unknown format {fmt!r}")
-    if limit is not None:
-        db = ingest.truncate(db, limit)
-    return db
+        db = ingest.sessionize(ingest.iter_query_log(fh))
+    return db if limit is None else ingest.truncate(db, limit)
 
 
 def _band_from_config(db: TransactionDatabase,

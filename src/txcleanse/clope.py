@@ -19,28 +19,27 @@ identical clusterings.
 
 Placement does not call ``delta_add`` per cluster. An inverted index
 ``item -> {cluster: count}`` gives the clusters that share an item with the
-transaction and their overlaps, so only those are scored one by one, as
-``(S+|t|) / pw[W+|t|-overlap] * (N+1) - G`` with G the cluster's current
-gain and ``pw[w] == w**r`` a table over widths up to the item count (a width
-whose power overflows takes ``_gain``'s exp/log path). A cluster that shares
-no item offers a delta that depends on the transaction only through its
-size; those deltas are kept per size and cluster, and the slot of each
-size's maximum is cached and kept up to date as clusters change, so a
-placement rescans a size's deltas only when its cached maximum fell or left.
-An index row can hold only live clusters, so one that holds k of them (a
-near-ubiquitous item's, say) adds 1 to every overlap: such full rows are
-counted once, not once per cluster. A transaction with a full row overlaps
-every cluster, so all of them are scored, in ascending id, and the per-size
-maxima are not read; that placement costs O(sum of overlaps over the other
-rows + k). Per-pass work is O(n + sum of overlaps), less the full rows' share,
-plus one delta per size for each cluster change and O(k) for each rescan. A
-refinement pass that has moved nothing yet ends at the first transaction
-after the previous pass's last move: every later one stayed at its last
-placement, and nothing has changed since. Every delta is bit-identical to
-``delta_add``'s. The index, one row per item id, is the only occurrence map:
-``Clustering.clusters`` is read off it once, and each pass's profit sums the
-gains G the placer keeps. ``delta_add``, ``ClusterSummary`` and ``profit``
-stay as the oracles the tests compare the kernel against.
+transaction and their overlaps, and ``pw[w] == w**r`` is a table over widths
+up to the item count (a width whose power overflows takes ``_gain``'s
+exp/log path). An index row holds only live clusters, so one that holds all
+k of them (a near-ubiquitous item's, say) is full and adds 1 to every
+overlap. A cluster that meets a transaction of size s only in its full rows
+offers a delta that depends only on s and the width p it adds, s less the
+number of full rows; those deltas are kept per (s, p) and cluster once a
+placement needs them, and each column's maximum is cached and kept up to
+date as clusters change. So a placement scores one by one only the clusters
+that share one of its non-full rows, as ``(S+s) / pw[W+p-overlap] * (N+1) -
+G`` with G the cluster's current gain, and reads all others through one
+column maximum, rescanned only when the cached one fell or left. A pass
+costs O(n + sum of overlaps over non-full rows), plus one delta per column
+for each cluster change and O(k) for each rescan. A refinement pass that has
+moved nothing yet ends at the first transaction after the previous pass's
+last move: every later one stayed at its last placement, and nothing has
+changed since. Every delta is bit-identical to ``delta_add``'s. The index,
+one row per item id, is the only occurrence map: ``Clustering.clusters`` is
+read off it once, and each pass's profit sums the gains G the placer keeps.
+``delta_add``, ``ClusterSummary`` and ``profit`` stay as the oracles the
+tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -231,18 +230,19 @@ class _Placer:
     cluster leaves a row when its count there reaches 0, so a row of
     ``len(stats)`` entries is full: it holds every cluster.
 
-    A cluster that shares no item with ``t`` offers ``(S+s) / pw[W+s] *
-    (N+1) - G``, which depends on ``t`` only through its size s. So
-    ``disjoint[s][slot]`` keeps that delta for every size s in the database
-    and every live cluster, refreshed whenever the cluster changes, and its
-    maximum replaces scoring the disjoint clusters one by one. ``tops[s]`` is
-    the slot of the first maximum of ``disjoint[s]``, or -1 when unknown:
-    ``best`` rescans a column only then, and each update keeps it exact. It
-    becomes -1 when its own entry falls or its cluster is deleted, moves
-    down with its slot when a lower slot is deleted, and passes to a slot
-    whose new entry is greater, or equal at a lower slot.
-    ``cids[slot]`` is the cluster of each slot, in ascending id order, since
-    fresh ids only grow.
+    A transaction t of size s with s - p full rows adds p to the width of a
+    cluster that shares none of its other items, which thus offers ``(S+s)
+    / pw[W+p] * (N+1) - G``. So ``disjoint[(s, p)][slot]`` keeps that delta
+    for every live cluster, from the first placement that reads the column
+    on, refreshed whenever the cluster changes, and its maximum replaces
+    scoring those clusters one by one. ``tops[(s, p)]`` is the slot of the
+    column's first maximum, or -1 when unknown: ``best`` rescans a column
+    only then, and each update keeps it exact. It becomes -1 when its own
+    entry falls or its cluster is deleted, moves down with its slot when a
+    lower slot is deleted, and passes to a slot whose new entry is greater,
+    or equal at a lower slot. ``cids[slot]`` is the cluster of each slot, in
+    ascending id order, since fresh ids only grow. ``fresh[s]`` is a fresh
+    cluster's gain for each size in ``sizes``.
     """
 
     def __init__(self, m: int, sizes: Iterable[int], repulsion: float) -> None:
@@ -251,9 +251,9 @@ class _Placer:
         self.pw = _powers(m + 1, repulsion)
         self.index: list[dict[int, int]] = [{} for _ in range(m)]
         self.stats: dict[int, tuple[int, int, int, float]] = {}
-        self.disjoint: dict[int, list[float]] = {s: [] for s in sizes}
-        self.tops = dict.fromkeys(self.disjoint, -1)
-        self.fresh = {s: _gain(s, s, 1, repulsion) for s in self.disjoint}
+        self.disjoint: dict[tuple[int, int], list[float]] = {}
+        self.tops: dict[tuple[int, int], int] = {}
+        self.fresh = {s: _gain(s, s, 1, repulsion) for s in sizes}
         self.cids: list[int] = []
 
     def _delta(self, occurrences: int, width: int, members: int, gain: float) -> float:
@@ -274,10 +274,9 @@ class _Placer:
         in ascending id, with ``t`` taken out of its home, and taking over
         only on a strictly greater delta.
 
-        A full row adds 1 to every overlap, so full rows are counted once, as
-        ``base``. When ``t`` has one, every cluster overlaps it and is scored:
-        O(entries of the other rows + k). Otherwise only the overlapping
-        clusters are scored, and the disjoint ones through a column maximum.
+        A full row adds 1 to every overlap, so only the clusters in the p
+        non-full rows of t's s are scored, and all others are read through
+        the maximum of column ``(s, p)``: O(entries of the non-full rows).
         """
         stats = self.stats
         k = len(stats)
@@ -286,64 +285,52 @@ class _Placer:
             return None
         s = len(items)
         rows = list(map(self.index.__getitem__, items))
+        partial = [row for row in rows if len(row) != k] if k in map(len, rows) else rows
+        p = len(partial)
+        # overlaps in the non-full rows, for the clusters that share one
+        ov = Counter(itertools.chain.from_iterable(partial))
+        if home is not None:
+            del ov[home]
         best_cid, best = None, -math.inf
         pw = self.pw
-        if k in map(len, rows):
-            # Every cluster overlaps t, by ``base`` plus its count in the
-            # other rows. Scanned in ascending id, a strict > keeps the lowest
-            # id among equal deltas. The column is not read: each of its
-            # entries is at most its cluster's exact delta (see below).
-            partial = [row for row in rows if len(row) != k]
-            base = s - len(partial)
-            ov = Counter(itertools.chain.from_iterable(partial))
-            for cid, (S, W, N1, G) in stats.items():
-                if cid == home:
-                    continue
-                o = base + ov.get(cid, 0)
-                try:
-                    d = (S + s) / pw[W + s - o] * N1 - G
-                except IndexError:
-                    d = _gain(S + s, W + s - o, N1, self.r) - G
-                if d > best:
-                    best, best_cid = d, cid
-        else:
-            # overlap counts, only for the clusters that share an item with t
-            ov = Counter(itertools.chain.from_iterable(rows))
-            if home is not None:
-                del ov[home]
-            for cid, o in ov.items():
-                S, W, N1, G = stats[cid]
-                try:
-                    d = (S + s) / pw[W + s - o] * N1 - G
-                except IndexError:
-                    d = _gain(S + s, W + s - o, N1, self.r) - G
-                if d > best or d == best and cid < best_cid:
-                    best, best_cid = d, cid
+        for cid, o in ov.items():
+            S, W, N1, G = stats[cid]
+            try:
+                d = (S + s) / pw[W + p - o] * N1 - G
+            except IndexError:
+                d = _gain(S + s, W + p - o, N1, self.r) - G
+            if d > best or d == best and cid < best_cid:
+                best, best_cid = d, cid
 
-            # Overlap only narrows the width, so an overlapping cluster's
-            # column entry is at most its exact delta, already scored above. A
-            # column maximum above ``best`` is therefore a disjoint cluster's
-            # delta, and one equal to ``best`` is first held by a cluster whose
-            # exact delta equals ``best``: the lowest id among them wins the
-            # tie.
-            column = self.disjoint[s]
-            top_slot = self.tops[s]
-            if top_slot < 0:
-                top_slot = self.tops[s] = column.index(max(column))
-            top = column[top_slot]
-            if home is not None:
-                slot = bisect_left(self.cids, home)
-                if top_slot == slot:
-                    # The cached top is the home's own entry: the others'
-                    # maximum is read with it held out, and is not cached.
-                    held, column[slot] = column[slot], -math.inf
-                    top = max(column)
-                    top_slot = column.index(top)
-                    column[slot] = held
-            if top >= best and top > -math.inf:
-                cid = self.cids[top_slot]
-                if top > best or cid < best_cid:
-                    best, best_cid = top, cid
+        # Overlap outside the full rows only narrows the width, so a scored
+        # cluster's column entry is at most its exact delta. A column maximum
+        # above ``best`` is therefore an unscored cluster's delta, and one
+        # equal to ``best`` is first held by a cluster whose exact delta
+        # equals ``best``: the lowest id among them wins the tie.
+        key = s, p
+        column = self.disjoint.get(key)
+        if column is None:
+            column = self.disjoint[key] = [
+                self._delta(S + s, W + p, N1, G) for S, W, N1, G in stats.values()
+            ]
+            self.tops[key] = -1
+        top_slot = self.tops[key]
+        if top_slot < 0:
+            top_slot = self.tops[key] = column.index(max(column))
+        top = column[top_slot]
+        if home is not None:
+            slot = bisect_left(self.cids, home)
+            if top_slot == slot:
+                # The cached top is the home's own entry: the others'
+                # maximum is read with it held out, and is not cached.
+                held, column[slot] = column[slot], -math.inf
+                top = max(column)
+                top_slot = column.index(top)
+                column[slot] = held
+        if top >= best and top > -math.inf:
+            cid = self.cids[top_slot]
+            if top > best or cid < best_cid:
+                best, best_cid = top, cid
         if home is not None:
             # t stays in its home: the home's delta is its gain minus the gain
             # it would have without t
@@ -389,12 +376,12 @@ class _Placer:
             slot = bisect_left(self.cids, cid)
             del self.cids[slot]
             tops = self.tops
-            for s, column in self.disjoint.items():
+            for key, column in self.disjoint.items():
                 del column[slot]
-                if tops[s] > slot:
-                    tops[s] -= 1
-                elif tops[s] == slot:
-                    tops[s] = -1
+                if tops[key] > slot:
+                    tops[key] -= 1
+                elif tops[key] == slot:
+                    tops[key] = -1
         else:
             self._restat(cid, S - len(items), W, N1 - 1)
 
@@ -404,14 +391,15 @@ class _Placer:
         slot = bisect_left(self.cids, cid)
         delta = self._delta
         tops = self.tops
-        for s, column in self.disjoint.items():
-            d = delta(S + s, W + s, N1, G)
-            top = tops[s]
+        for key, column in self.disjoint.items():
+            s, p = key
+            d = delta(S + s, W + p, N1, G)
+            top = tops[key]
             if top == slot:
                 if d < column[slot]:
-                    tops[s] = -1
+                    tops[key] = -1
             elif top >= 0 and (d > column[top] or d == column[top] and slot < top):
-                tops[s] = slot
+                tops[key] = slot
             column[slot] = d
 
     def profit(self, n: int) -> float:

@@ -63,23 +63,35 @@ def _decoded_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
                 yield lineno, text
 
 
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
+
+
 def parse_transactions(
     lines: Iterable[str | bytes],
     delimiter: str = "\t",
     on_warning: WarningSink | None = None,
+    limit: int | None = None,
 ) -> TransactionDatabase:
     """Parse the generic one-transaction-per-line format.
 
     Blank lines and ``#`` comments are skipped silently; a line whose items
-    all normalize to empty is skipped with a warning.
+    all normalize to empty is skipped with a warning. With ``limit``, no
+    line is read after the ``limit``-th transaction, and the result equals
+    ``truncate`` of the whole parse.
     """
+    _check_limit(limit)
     warn = on_warning or log.warning
     builder = DatabaseBuilder()
+    kept = 0
     for lineno, text in _decoded_lines(lines):
         if not text or text.startswith("#"):
             continue
         if not builder.add(text.split(delimiter)):
             warn(f"line {lineno}: all items empty after normalization; line skipped")
+        elif (kept := kept + 1) == limit:
+            break
     return builder.build()
 
 
@@ -229,14 +241,18 @@ def sessionize(records: Iterable[QueryLogRecord]) -> TransactionDatabase:
 def parse_keyword_registration(
     lines: Iterable[str | bytes],
     on_warning: WarningSink | None = None,
+    limit: int | None = None,
 ) -> TransactionDatabase:
     """Parse a keyword-registration dump: URL, TAB, keyword list.
 
     The URL becomes the transaction label, never an item. Lines with no
-    usable keywords are skipped with a warning.
+    usable keywords are skipped with a warning. ``limit`` stops reading as
+    in ``parse_transactions``.
     """
+    _check_limit(limit)
     warn = on_warning or log.warning
     builder = DatabaseBuilder()
+    kept = 0
     for lineno, text in _decoded_lines(lines):
         if not text.strip():
             continue
@@ -247,6 +263,8 @@ def parse_keyword_registration(
             continue
         if not builder.add(fields[1:], label=url):
             warn(f"line {lineno}: URL {url!r} has no keywords; line skipped")
+        elif (kept := kept + 1) == limit:
+            break
     return builder.build()
 
 
@@ -260,8 +278,7 @@ def truncate(db: TransactionDatabase, limit: int) -> TransactionDatabase:
     head's own rows and labels and the prefix of ``db.strings``; no row is
     copied.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    _check_limit(limit)
     if limit >= db.n:
         return db
     head = db.rows[:limit]

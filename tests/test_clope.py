@@ -334,33 +334,46 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("r", [300.0, 300])
     def test_disjoint_columns_equal_delta_add(self, r):
-        # disjoint[s][slot] is the delta of a size-s transaction that shares
-        # no item with the slot's cluster. Cluster widths run up to 12 and
-        # sizes to 12, so at r=300.0 the widths from 11 on, past the power
-        # table, take _gain's exp/log path.
+        # disjoint[(s, p)][slot] is the delta of a size-s transaction that
+        # shares only its s - p full rows with the slot's cluster. Every
+        # member holds the hubs h0-h2, so their rows are full; the o items
+        # are in no cluster. Cluster widths run up to 15 and p to 12, so at
+        # r=300.0 the widths from 11 on, past the power table, take _gain's
+        # exp/log path. Half the columns open before the removals, half after.
         rng = random.Random(300)
         vocab = [f"i{j}" for j in range(12)]
-        rows = [rng.sample(vocab, rng.randint(1, 12)) for _ in range(40)]
-        db = database_from_items(rows + [[f"o{j}" for j in range(s)] for s in range(1, 13)])
+        hubs = ["h0", "h1", "h2"]
+        rows = [rng.sample(vocab, rng.randint(1, 12)) + hubs for _ in range(40)]
+        probes = [hubs[:h] + [f"o{j}" for j in range(s - h)]
+                  for s in range(1, 13) for h in range(min(s, 3) + 1)]
+        db = database_from_items(rows + probes)
         members = db.transactions[:len(rows)]
-        outside = {len(t.items): t for t in db.transactions[len(rows):]}
-        placer = _Placer(db.m, outside, r)
+        outside = {(len(t.items), len(t.items) - h): t
+                   for t, h in zip(db.transactions[len(rows):],
+                                   (sum(i in hubs for i in items) for items in probes))}
+        placer = _Placer(db.m, {s for s, _ in outside}, r)
         assert len(placer.pw) == (11 if isinstance(r, float) else db.m + 1)
         homes = []
         for t in members:
             cid = rng.randint(0, len(placer.cids))
             placer.add(cid, t.items)
             homes.append(cid)
+        keys = sorted(outside)
+        for key in keys[::2]:
+            placer.best(outside[key].items)
         for i in range(0, len(members), 3):
             placer.remove(homes[i], members[i].items)
             homes[i] = None
+        for key in keys[1::2]:
+            placer.best(outside[key].items)
+        assert sorted(placer.disjoint) == keys
         assert len(placer.index) == db.m
         assert all(all(row.values()) for row in placer.index)
         summaries = placer.summaries()
-        for s, t in outside.items():
-            assert placer.disjoint[s] == [
+        for key, t in outside.items():
+            assert placer.disjoint[key] == [
                 delta_add(summaries[cid], t, r) for cid in placer.cids
-            ]
+            ], key
         assert list(summaries) == placer.cids == sorted(set(homes) - {None})
         for cid, summary in summaries.items():
             kept = [t for t, home in zip(members, homes) if home == cid]
@@ -430,9 +443,10 @@ class TestKernelParity:
 
 
 def _assert_tops_are_first_maxima(placer):
-    for s, column in placer.disjoint.items():
-        top = placer.tops[s]
-        assert top == -1 or top == column.index(max(column)), s
+    assert placer.tops.keys() == placer.disjoint.keys()
+    for key, column in placer.disjoint.items():
+        top = placer.tops[key]
+        assert top == -1 or top == column.index(max(column)), key
 
 
 class TestCachedMaxima:
@@ -441,19 +455,35 @@ class TestCachedMaxima:
 
     @pytest.mark.parametrize("r", [1.5, 300.0])
     def test_random_adds_and_removals_keep_tops_exact(self, r):
+        self._random_adds_and_removals(r, hubs=0)
+
+    @pytest.mark.parametrize("r", [1.5, 300.0])
+    def test_lazily_opened_full_row_columns_keep_tops_exact(self, r):
+        # Every member holds both hubs, whose rows are therefore full, and
+        # the probes hold up to both, so columns (s, p) with p < s open as
+        # placements first read them, before and after removals.
+        self._random_adds_and_removals(r, hubs=2)
+
+    @staticmethod
+    def _random_adds_and_removals(r, hubs):
         # Every row occurs twice, so clusters of equal S, W and N put tied
-        # entries in the columns. Cluster widths and sizes run up to 12, so at
-        # r=300.0 the widths from 11 on take _gain's exp/log path.
+        # entries in the columns. Cluster widths and sizes run up to 12 plus
+        # the hubs, so at r=300.0 the widths from 11 on take _gain's exp/log
+        # path.
         rng = random.Random(13)
         vocab = [f"i{j}" for j in range(12)]
-        rows = [rng.sample(vocab, rng.randint(1, 12)) for _ in range(20)]
-        db = database_from_items(rows * 2 + [[f"o{j}" for j in range(s)] for s in range(1, 13)])
+        hub_items = [f"h{j}" for j in range(hubs)]
+        rows = [rng.sample(vocab, rng.randint(1, 12)) + hub_items for _ in range(20)]
+        probes = [hub_items[:h] + [f"o{j}" for j in range(s - h)]
+                  for s in range(1, 13) for h in range(min(s, hubs) + 1)]
+        db = database_from_items(rows * 2 + probes)
         members = db.transactions[:2 * len(rows)]
         outside = db.transactions[2 * len(rows):]
-        placer = _Placer(db.m, range(1, 13), r)
+        placer = _Placer(db.m, set(map(len, db.rows)), r)
         homes = [None] * len(members)
         fresh = itertools.count()
         seen = Counter()
+        removed = False
         for _ in range(800):
             i = rng.randrange(len(members))
             t, home = members[i], homes[i]
@@ -466,18 +496,22 @@ class TestCachedMaxima:
                 before = dict(placer.tops)
                 placer.remove(home, t.items)
                 homes[i] = None
-                for s, top in before.items():
+                removed = True
+                for key, top in before.items():
                     if deleted and top == slot:
                         seen["top cluster deleted"] += 1
                     elif deleted and top > slot:
                         seen["deleted below the top"] += 1
-                    elif top == slot and placer.tops[s] == -1:
+                    elif top == slot and placer.tops[key] == -1:
                         seen["top entry fell"] += 1
             _assert_tops_are_first_maxima(placer)
 
             summaries = placer.summaries()
             probe = rng.choice(outside)
+            opened = len(placer.disjoint)
             assert placer.best(probe.items) == best_home(summaries, probe, r)
+            if len(placer.disjoint) > opened and removed:
+                seen["column opened after a removal"] += 1
             placed = [j for j, cid in enumerate(homes) if cid is not None]
             if placed:
                 j = rng.choice(placed)
@@ -485,38 +519,42 @@ class TestCachedMaxima:
                 assert placer.best(members[j].items, homes[j]) == best_home(
                     summaries, members[j], r, homes[j])
             _assert_tops_are_first_maxima(placer)
-            for s, column in placer.disjoint.items():
-                top = placer.tops[s]
+            for key, column in placer.disjoint.items():
+                top = placer.tops[key]
                 if top >= 0 and column.count(column[top]) > 1:
                     seen["tied top"] += 1
         assert set(seen) == {"top cluster deleted", "deleted below the top", "top entry fell",
-                             "tied top"}, seen
+                             "tied top", "column opened after a removal"}, seen
 
     def test_home_holding_the_cached_top_is_held_out(self):
-        # At r=0.5 the home {cf} holds the greatest size-2 entry; held out,
-        # the first maximum is {a} (id 0), tied with {a} (id 1), and t, which
-        # shares no item with either, joins id 0.
-        db = letters_db("a", "a", "cf")
-        t = db.transactions[2]
+        # At r=0.5 the home {cf} holds the greatest entry of column (2, 2);
+        # held out, the first maximum is {a} (id 0), tied with {a} (id 1),
+        # and t, which shares no item with either, joins id 0.
+        db = letters_db("a", "a", "cf", "de")
+        t, disjoint = db.transactions[2:]
         placer = _Placer(db.m, {1, 2}, 0.5)
-        for cid, member in enumerate(db.transactions):
+        for cid, member in enumerate(db.transactions[:3]):
             placer.add(cid, member.items)
+        column = [delta_add(summary, disjoint, 0.5) for summary in placer.summaries().values()]
         summaries = placer.summaries()
         summaries[2].remove(t)
         want = best_home(summaries, t, 0.5, 2)
         assert want == 0
-        column = list(placer.disjoint[2])
         assert column.index(max(column)) == 2 and column[0] == column[1]
+        assert placer.disjoint == {}
         for _ in range(2):
-            # the first call caches the home's slot, the second reads it
+            # the first call opens the column and caches the home's slot, the
+            # second reads it
             assert placer.best(t.items, 2) == want
-            assert placer.tops[2] == 2
-            assert placer.disjoint[2] == column
+            assert placer.tops == {(2, 2): 2}
+            assert placer.disjoint == {(2, 2): column}
 
 
 class TestFullRows:
     """An index row that holds every live cluster adds 1 to every overlap:
-    ``best`` counts such rows once and scores every cluster but the home."""
+    ``best`` leaves such rows out of the overlap counts, scores the clusters
+    that share one of t's other p rows, and reads the rest through column
+    ``(|t|, p)``."""
 
     # Clusters 0, 1 and 2 all hold h, and only 0 and 1 hold n; x is in none.
     # All three have S=5, W=3 and N=2, so equal overlaps tie.
@@ -553,6 +591,38 @@ class TestFullRows:
                 assert placer.best(t.items, home) == best_home(summaries, t, r, home), (t, home)
                 placer.remove(home, t.items)
                 _assert_tops_are_first_maxima(placer)
+
+
+    def test_cluster_met_only_in_full_rows_wins_through_its_column(self):
+        # At r=0.5, {h, hrs} (id 0) meets t=hb only in the full row h, and
+        # offers t more than {hb} (id 1), which shares both of t's items.
+        db = letters_db("h", "hrs", "hb", "hb")
+        *members, t = db.transactions
+        placer = _Placer(db.m, {1, 2, 3}, 0.5)
+        for cid, member in zip((0, 0, 1), members):
+            placer.add(cid, member.items)
+        summaries = placer.summaries()
+        deltas = [delta_add(summaries[cid], t, 0.5) for cid in (0, 1)]
+        assert deltas[0] > deltas[1] > _gain(2, 2, 1, 0.5)
+        assert placer.best(t.items) == best_home(summaries, t, 0.5) == 0
+        assert placer.disjoint[(2, 1)][0] == deltas[0]
+        assert placer.tops[(2, 1)] == 0
+
+    @pytest.mark.parametrize("ids", [(0, 1), (1, 0)])
+    def test_column_tie_with_an_overlapping_cluster_goes_to_the_lower_id(self, ids):
+        # At r=1, {h} meets t=hby only in the full row h and {habcd} meets it
+        # in h and b; both offer exactly 8/3 - 1, more than a fresh cluster.
+        # Whichever has the lower id takes t.
+        db = letters_db("h", "habcd", "hby")
+        *members, t = db.transactions
+        placer = _Placer(db.m, {1, 3, 5}, 1.0)
+        for cid, member in sorted(zip(ids, members)):
+            placer.add(cid, member.items)
+        summaries = placer.summaries()
+        assert delta_add(summaries[ids[0]], t, 1.0) == delta_add(summaries[ids[1]], t, 1.0) > 1.0
+        assert placer.best(t.items) == best_home(summaries, t, 1.0) == 0
+        # {h}'s slot holds the top of column (3, 2)
+        assert placer.tops[(3, 2)] == ids[0]
 
 
 class TestTailExit:

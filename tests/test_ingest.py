@@ -23,6 +23,7 @@ from txcleanse import (
     truncate,
     write_transactions,
 )
+from txcleanse.cli import load_database
 from txcleanse.core import database_from_items
 
 AOL_HEADER = "AnonID\tQuery\tQueryTime\tItemRank\tClickURL"
@@ -409,6 +410,67 @@ class TestTruncate:
         db = database_from_items([["a"]])
         with pytest.raises(ValueError):
             truncate(db, 0)
+
+
+def _read_up_to(lines, stop):
+    """Yield ``lines[:stop]``, then fail if another line is asked for."""
+    yield from lines[:stop]
+    if stop < len(lines):
+        raise AssertionError(f"line {stop + 1} read past the limit")
+
+
+class TestParseLimit:
+    """``limit`` stops the generic and keyword parsers at the limit-th kept
+    transaction: no later line is read, and the result is ``truncate`` of
+    the whole parse, with the warnings of the lines read."""
+
+    @staticmethod
+    def _check(parse, lines):
+        warnings = []
+        whole = parse(lines, on_warning=warnings.append)
+        # the lines that each hold a kept transaction
+        heads = [i for i, line in enumerate(lines)
+                 if parse([line], on_warning=lambda _: None).n]
+        assert len(heads) == whole.n
+        for limit in range(1, whole.n + 2):
+            stop = heads[limit - 1] + 1 if limit <= whole.n else len(lines)
+            read = []
+            head = parse(_read_up_to(lines, stop), on_warning=read.append, limit=limit)
+            assert head == truncate(whole, limit)
+            assert read == [w for w in warnings if int(w.split(":")[0][5:]) <= stop]
+
+    @pytest.mark.parametrize("parse, shapes", [
+        (parse_transactions, ["", "# note", "\t \t", "a", "b\tc", "c\td\te", "f", "a\tf"]),
+        (parse_keyword_registration, ["", "u1\tx", "u2\tx\ty", "u3", "\tz", "u4\t \t",
+                                      "u5\ty\tz"]),
+    ])
+    def test_parser_stops_at_the_limit(self, parse, shapes):
+        rng = random.Random(15)
+        for _ in range(200):
+            self._check(parse, [rng.choice(shapes) for _ in range(rng.randint(0, 12))])
+
+    @pytest.mark.parametrize("parse", [parse_transactions, parse_keyword_registration])
+    def test_limit_must_be_positive(self, parse):
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            parse(_read_up_to(["a\tb"], 0), limit=0)
+
+    @pytest.mark.parametrize("fmt, head", [("generic", b"a\tb\n\nb\tc\n"),
+                                           ("keywords", b"u1\ta\nu2\n\nu3\tb\n")])
+    def test_limit_reads_no_line_past_the_head(self, tmp_path, fmt, head):
+        # A bad line past the second transaction is never read; a query log
+        # is read whole, since a user's rows can come late.
+        path = tmp_path / "in.tsv"
+        path.write_bytes(head)
+        want = truncate(load_database(path, fmt), 2)
+        assert want.n == 2
+        path.write_bytes(head + b"\xff\n")
+        with pytest.raises(ParseError, match="invalid UTF-8"):
+            load_database(path, fmt)
+        assert load_database(path, fmt, limit=2) == want
+        log = tmp_path / "log.tsv"
+        log.write_bytes(b"AnonID\tQuery\tQueryTime\nu1\ta\tt\nu2\tb\tt\n\xff\n")
+        with pytest.raises(ParseError, match="invalid UTF-8"):
+            load_database(log, "aol", limit=1)
 
 
 class TestLineEnds:
