@@ -76,7 +76,7 @@ class PipelineConfig:
         """Raise ParseError naming the first out-of-range parameter."""
         if self.fmt not in FORMATS:
             raise ParseError(f"unknown format {self.fmt!r}")
-        _check_delimiter(self.delimiter)
+        ingest.check_delimiter(self.delimiter)
         if self.distribution not in KINDS:
             raise ParseError(f"unknown distribution {self.distribution!r}")
         if not (self.s > 0 and math.isfinite(self.s)):
@@ -110,11 +110,6 @@ class PipelineConfig:
             "manual_lower": self.manual_lower,
             "manual_upper": self.manual_upper,
         }
-
-
-def _check_delimiter(delimiter: str) -> None:
-    if not delimiter or "\n" in delimiter or "\r" in delimiter:
-        raise ParseError(f"delimiter must be non-empty and hold no line break, got {delimiter!r}")
 
 
 def load_database(path: str | Path, fmt: str, delimiter: str = "\t",
@@ -367,7 +362,7 @@ def _params_from_args(args: argparse.Namespace) -> PipelineConfig | synth.Synthe
     params = cls(**{k: v for k, v in vars(args).items() if k in names})
     params.validate()
     if cls is synth.SyntheticSpec:
-        _check_delimiter(args.delimiter)
+        ingest.check_delimiter(args.delimiter)
     return params
 
 

@@ -25,19 +25,20 @@ exp/log path). An index row holds only live clusters, so one that holds all
 k of them (a near-ubiquitous item's, say) is full and adds 1 to every
 overlap. A cluster that meets a transaction of size s only in its full rows
 offers a delta that depends only on s and the width p it adds, s less the
-number of full rows; those deltas are kept per (s, p) and cluster once a
-placement needs them, and each column's maximum is cached and kept up to
-date as clusters change. So a placement scores one by one only the clusters
-that share one of its non-full rows, as ``(S+s) / pw[W+p-overlap] * (N+1) -
-G`` with G the cluster's current gain, and reads all others through one
-column maximum, rescanned only when the cached one fell or left. A pass
-costs O(n + sum of overlaps over non-full rows), plus one delta per column
-for each cluster change and O(k) for each rescan. A refinement pass that has
-moved nothing yet ends at the first transaction after the previous pass's
-last move: every later one stayed at its last placement, and nothing has
-changed since. Every delta is bit-identical to ``delta_add``'s. The index,
-one row per item id, is the only occurrence map: ``Clustering.clusters`` is
-read off it once, and each pass's profit sums the gains G the placer keeps.
+number of full rows; those deltas are kept per (s, p) in a column indexed
+by cluster id once a placement needs them, and each column's maximum is
+cached and kept up to date as clusters change. So a placement scores one by
+one only the clusters that share one of its non-full rows, as ``(S+s) /
+pw[W+p-overlap] * (N+1) - G`` with G the cluster's current gain, and reads
+all others through one column maximum, rescanned only when the cached one
+fell or left. A pass costs O(n + sum of overlaps over non-full rows), plus
+one delta per column for each cluster change and O(ids added so far) for
+each rescan. A refinement pass that has moved nothing yet ends at the first
+transaction after the previous pass's last move: every later one stayed at
+its last placement, and nothing has changed since. Every delta is
+bit-identical to ``delta_add``'s. The index, one row per item id, is the
+only occurrence map: ``Clustering.clusters`` is read off it once, and each
+pass's profit sums the gains G the placer keeps.
 ``delta_add``, ``ClusterSummary`` and ``profit`` stay as the oracles the
 tests compare the kernel against.
 """
@@ -47,7 +48,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -232,20 +232,20 @@ class _Placer:
 
     A transaction t of size s with s - p full rows adds p to the width of a
     cluster that shares none of its other items, which thus offers ``(S+s)
-    / pw[W+p] * (N+1) - G``. So ``disjoint[(s, p)][slot]`` keeps that delta
+    / pw[W+p] * (N+1) - G``. So ``disjoint[(s, p)][cid]`` keeps that delta
     for every live cluster, from the first placement that reads the column
     on, refreshed whenever the cluster changes, and its maximum replaces
-    scoring those clusters one by one. ``tops[(s, p)]`` is the slot of the
-    column's first maximum, or -1 when unknown: ``best`` rescans a column
-    only then, and each update keeps it exact. It becomes -1 when its own
-    entry falls or its cluster is deleted, moves down with its slot when a
-    lower slot is deleted, and passes to a slot whose new entry is greater,
-    or equal at a lower slot. ``cids[slot]`` is the cluster of each slot, in
-    ascending id order, since fresh ids only grow. ``fresh[s]`` is a fresh
-    cluster's gain for each size in ``sizes``.
+    scoring those clusters one by one. A fresh cluster takes the id
+    ``next_id``, the number of ids added so far, and a deleted id is never
+    reused, so a column has one entry per id, -inf at a deleted one.
+    ``tops[(s, p)]`` is the id of the column's first maximum, or -1 when
+    unknown: ``best`` rescans a column only then, and each update keeps it
+    exact. It becomes -1 when its own entry falls or its cluster is
+    deleted, and passes to a cluster whose new entry is greater, or equal
+    at a lower id.
     """
 
-    def __init__(self, m: int, sizes: Iterable[int], repulsion: float) -> None:
+    def __init__(self, m: int, repulsion: float) -> None:
         self.r = repulsion
         # widths never exceed m; wider or overflowing ones take _gain's path
         self.pw = _powers(m + 1, repulsion)
@@ -253,8 +253,7 @@ class _Placer:
         self.stats: dict[int, tuple[int, int, int, float]] = {}
         self.disjoint: dict[tuple[int, int], list[float]] = {}
         self.tops: dict[tuple[int, int], int] = {}
-        self.fresh = {s: _gain(s, s, 1, repulsion) for s in sizes}
-        self.cids: list[int] = []
+        self.next_id = 0
 
     def _delta(self, occurrences: int, width: int, members: int, gain: float) -> float:
         """``_gain(occurrences, width, members) - gain``, through the table."""
@@ -277,6 +276,7 @@ class _Placer:
         A full row adds 1 to every overlap, so only the clusters in the p
         non-full rows of t's s are scored, and all others are read through
         the maximum of column ``(s, p)``: O(entries of the non-full rows).
+        The home's own entry is held out of that maximum.
         """
         stats = self.stats
         k = len(stats)
@@ -310,27 +310,23 @@ class _Placer:
         key = s, p
         column = self.disjoint.get(key)
         if column is None:
-            column = self.disjoint[key] = [
-                self._delta(S + s, W + p, N1, G) for S, W, N1, G in stats.values()
-            ]
+            column = self.disjoint[key] = [-math.inf] * self.next_id
+            for cid, (S, W, N1, G) in stats.items():
+                column[cid] = self._delta(S + s, W + p, N1, G)
             self.tops[key] = -1
-        top_slot = self.tops[key]
-        if top_slot < 0:
-            top_slot = self.tops[key] = column.index(max(column))
-        top = column[top_slot]
-        if home is not None:
-            slot = bisect_left(self.cids, home)
-            if top_slot == slot:
-                # The cached top is the home's own entry: the others'
-                # maximum is read with it held out, and is not cached.
-                held, column[slot] = column[slot], -math.inf
-                top = max(column)
-                top_slot = column.index(top)
-                column[slot] = held
-        if top >= best and top > -math.inf:
-            cid = self.cids[top_slot]
-            if top > best or cid < best_cid:
-                best, best_cid = top, cid
+        top_cid = self.tops[key]
+        if top_cid < 0:
+            top_cid = self.tops[key] = column.index(max(column))
+        top = column[top_cid]
+        if top_cid == home:
+            # The cached top is the home's own entry: the others' maximum is
+            # read with it held out, and is not cached.
+            held, column[home] = column[home], -math.inf
+            top = max(column)
+            top_cid = column.index(top)
+            column[home] = held
+        if top > -math.inf and (top > best or top == best and top_cid < best_cid):
+            best, best_cid = top, top_cid
         if home is not None:
             # t stays in its home: the home's delta is its gain minus the gain
             # it would have without t
@@ -339,14 +335,16 @@ class _Placer:
             d = G - _gain(S - s, W - ones, N1 - 2, self.r)
             if d >= best:
                 best, best_cid = d, home
-        if self.fresh[s] > best:
+        if self._delta(s, s, 1, 0.0) > best:
             return None
         return best_cid
 
     def add(self, cid: int, items: tuple[ItemId, ...]) -> None:
+        """Add a transaction to a live cluster, or to a fresh one if ``cid``
+        is ``next_id``."""
         if cid not in self.stats:
             self.stats[cid] = (0, 0, 1, 0.0)
-            self.cids.append(cid)
+            self.next_id += 1
             for column in self.disjoint.values():
                 column.append(-math.inf)
         S, W, N1, _ = self.stats[cid]
@@ -373,14 +371,10 @@ class _Placer:
                 row[cid] = count - 1
         if N1 == 2:
             del self.stats[cid]
-            slot = bisect_left(self.cids, cid)
-            del self.cids[slot]
             tops = self.tops
             for key, column in self.disjoint.items():
-                del column[slot]
-                if tops[key] > slot:
-                    tops[key] -= 1
-                elif tops[key] == slot:
+                column[cid] = -math.inf
+                if tops[key] == cid:
                     tops[key] = -1
         else:
             self._restat(cid, S - len(items), W, N1 - 1)
@@ -388,19 +382,18 @@ class _Placer:
     def _restat(self, cid: int, S: int, W: int, N1: int) -> None:
         G = _gain(S, W, N1 - 1, self.r)
         self.stats[cid] = (S, W, N1, G)
-        slot = bisect_left(self.cids, cid)
         delta = self._delta
         tops = self.tops
         for key, column in self.disjoint.items():
             s, p = key
             d = delta(S + s, W + p, N1, G)
             top = tops[key]
-            if top == slot:
-                if d < column[slot]:
+            if top == cid:
+                if d < column[cid]:
                     tops[key] = -1
-            elif top >= 0 and (d > column[top] or d == column[top] and slot < top):
-                tops[key] = slot
-            column[slot] = d
+            elif top >= 0 and (d > column[top] or d == column[top] and cid < top):
+                tops[key] = cid
+            column[cid] = d
 
     def profit(self, n: int) -> float:
         """Gains summed left to right in ascending id, over n, as ``profit`` sums."""
@@ -411,7 +404,7 @@ class _Placer:
 
     def summaries(self) -> dict[int, ClusterSummary]:
         """The ClusterSummary of each live cluster, in ascending id."""
-        summaries = {cid: ClusterSummary() for cid in self.cids}
+        summaries = {cid: ClusterSummary() for cid in self.stats}
         for item, row in enumerate(self.index):
             for cid, count in row.items():
                 summaries[cid].occ[item] = count
@@ -441,15 +434,14 @@ def clope_cluster(
     if not all(rows):
         raise ValueError(f"transaction {rows.index(())} is empty; cleanse before clustering")
 
-    placer = _Placer(db.m, set(map(len, rows)), repulsion)
+    placer = _Placer(db.m, repulsion)
     assignment = [0] * db.n
-    fresh_ids = itertools.count()
 
     started = time.perf_counter()
     for tid, row in enumerate(rows):
         cid = placer.best(row)
         if cid is None:
-            cid = next(fresh_ids)
+            cid = placer.next_id
         placer.add(cid, row)
         assignment[tid] = cid
     seconds_add = time.perf_counter() - started
@@ -471,7 +463,7 @@ def clope_cluster(
             if cid == home:
                 continue
             if cid is None:
-                cid = next(fresh_ids)
+                cid = placer.next_id
             placer.remove(home, row)
             placer.add(cid, row)
             assignment[tid] = cid

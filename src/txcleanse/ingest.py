@@ -68,6 +68,13 @@ def _check_limit(limit: int | None) -> None:
         raise ValueError("limit must be >= 1")
 
 
+def check_delimiter(delimiter: str) -> None:
+    """Raise ``ParseError`` unless ``delimiter`` can separate the items of
+    one line: it must be non-empty and hold no line break."""
+    if not delimiter or "\n" in delimiter or "\r" in delimiter:
+        raise ParseError(f"delimiter must be non-empty and hold no line break, got {delimiter!r}")
+
+
 def parse_transactions(
     lines: Iterable[str | bytes],
     delimiter: str = "\t",
@@ -79,9 +86,11 @@ def parse_transactions(
     Blank lines and ``#`` comments are skipped silently; a line whose items
     all normalize to empty is skipped with a warning. With ``limit``, no
     line is read after the ``limit``-th transaction, and the result equals
-    ``truncate`` of the whole parse.
+    ``truncate`` of the whole parse. A bad delimiter (see ``check_delimiter``)
+    raises ``ParseError`` before any line is read.
     """
     _check_limit(limit)
+    check_delimiter(delimiter)
     warn = on_warning or log.warning
     builder = DatabaseBuilder()
     kept = 0
@@ -118,8 +127,10 @@ def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t",
 def write_transactions(db: TransactionDatabase, path, delimiter: str = "\t",
                        strings: Sequence[str | None] | None = None) -> None:
     """Write the lines of ``serialize_transactions(db, delimiter, strings)``,
-    each ended by ``\\n``; raise ``ParseError`` naming the item, before
-    ``path`` is opened, if they would not re-read as written."""
+    each ended by ``\\n``; raise ``ParseError``, before ``path`` is opened,
+    for a bad delimiter (see ``check_delimiter``) or, naming the item, if
+    the lines would not re-read as written."""
+    check_delimiter(delimiter)
     written = [s for s in (db.strings if strings is None else strings) if s]
     for s in written:
         if (s + delimiter).find(delimiter) != len(s):

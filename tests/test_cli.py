@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -738,6 +739,9 @@ def test_cleanse_command_writes_what_the_library_cleanses(
 def test_cleanse_holds_one_database_in_memory(tmp_path):
     # The command writes the kept items from the parsed database, so its
     # heap peaks near that one database; a cleansed copy would double it.
+    # A full collection before each reading empties CPython's tuple free
+    # lists, whose reused tuples tracemalloc does not see, so the readings do
+    # not depend on the tests that ran before.
     db, _ = generate_synthetic(SyntheticSpec(
         transactions=20000, clusters=200, noise_rate=0.086, ubiquitous_items=3,
         ubiquity=0.9, seed=3))
@@ -745,6 +749,7 @@ def test_cleanse_holds_one_database_in_memory(tmp_path):
     ingest.write_transactions(db, path)
     del db
 
+    gc.collect()
     tracemalloc.start()
     try:
         db = load_database(path, "generic")
@@ -752,6 +757,7 @@ def test_cleanse_holds_one_database_in_memory(tmp_path):
     finally:
         tracemalloc.stop()
     del db
+    gc.collect()
     tracemalloc.start()
     try:
         assert main(["cleanse", str(path), "--dist", "exponential", "--s", "0.5",

@@ -334,12 +334,13 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("r", [300.0, 300])
     def test_disjoint_columns_equal_delta_add(self, r):
-        # disjoint[(s, p)][slot] is the delta of a size-s transaction that
-        # shares only its s - p full rows with the slot's cluster. Every
-        # member holds the hubs h0-h2, so their rows are full; the o items
-        # are in no cluster. Cluster widths run up to 15 and p to 12, so at
-        # r=300.0 the widths from 11 on, past the power table, take _gain's
-        # exp/log path. Half the columns open before the removals, half after.
+        # disjoint[(s, p)][cid] is the delta of a size-s transaction that
+        # shares only its s - p full rows with cluster cid, and -inf once cid
+        # is deleted. Every member holds the hubs h0-h2, so their rows are
+        # full; the o items are in no cluster. Cluster widths run up to 15
+        # and p to 12, so at r=300.0 the widths from 11 on, past the power
+        # table, take _gain's exp/log path. Half the columns open before the
+        # removals, half after.
         rng = random.Random(300)
         vocab = [f"i{j}" for j in range(12)]
         hubs = ["h0", "h1", "h2"]
@@ -351,30 +352,37 @@ class TestKernelParity:
         outside = {(len(t.items), len(t.items) - h): t
                    for t, h in zip(db.transactions[len(rows):],
                                    (sum(i in hubs for i in items) for items in probes))}
-        placer = _Placer(db.m, {s for s, _ in outside}, r)
+        placer = _Placer(db.m, r)
         assert len(placer.pw) == (11 if isinstance(r, float) else db.m + 1)
         homes = []
         for t in members:
-            cid = rng.randint(0, len(placer.cids))
+            cid = rng.randint(0, placer.next_id)
             placer.add(cid, t.items)
             homes.append(cid)
         keys = sorted(outside)
         for key in keys[::2]:
             placer.best(outside[key].items)
-        for i in range(0, len(members), 3):
-            placer.remove(homes[i], members[i].items)
-            homes[i] = None
+        # every third member leaves, and so does every member of member 1's
+        # cluster, which is thereby deleted
+        gone = homes[1]
+        for i, home in enumerate(homes):
+            if i % 3 == 0 or home == gone:
+                placer.remove(home, members[i].items)
+                homes[i] = None
         for key in keys[1::2]:
             placer.best(outside[key].items)
         assert sorted(placer.disjoint) == keys
         assert len(placer.index) == db.m
         assert all(all(row.values()) for row in placer.index)
         summaries = placer.summaries()
+        assert list(summaries) == list(placer.stats) == sorted(set(homes) - {None})
+        dead = set(range(placer.next_id)) - set(summaries)
+        assert dead
         for key, t in outside.items():
             assert placer.disjoint[key] == [
-                delta_add(summaries[cid], t, r) for cid in placer.cids
+                -math.inf if cid in dead else delta_add(summaries[cid], t, r)
+                for cid in range(placer.next_id)
             ], key
-        assert list(summaries) == placer.cids == sorted(set(homes) - {None})
         for cid, summary in summaries.items():
             kept = [t for t, home in zip(members, homes) if home == cid]
             assert summary == ClusterSummary.from_transactions(kept)
@@ -392,7 +400,7 @@ class TestKernelParity:
         # fresh cluster: the lower id takes t.
         db = letters_db("pq", "x", "x", "xab")
         *members, t = db.transactions
-        placer = _Placer(db.m, {1, 2, 3}, 1.0)
+        placer = _Placer(db.m, 1.0)
         for cid, member in zip((0, 1, 1), members):
             placer.add(cid, member.items)
         summaries = placer.summaries()
@@ -445,13 +453,15 @@ class TestKernelParity:
 def _assert_tops_are_first_maxima(placer):
     assert placer.tops.keys() == placer.disjoint.keys()
     for key, column in placer.disjoint.items():
+        assert len(column) == placer.next_id, key
         top = placer.tops[key]
         assert top == -1 or top == column.index(max(column)), key
 
 
 class TestCachedMaxima:
-    """``tops[s]`` caches the slot of the first maximum of ``disjoint[s]``,
-    or -1 when unknown; ``best`` fills it and every update keeps it exact."""
+    """``tops[(s, p)]`` caches the id of the first maximum of
+    ``disjoint[(s, p)]``, or -1 when unknown; ``best`` fills it and every
+    update keeps it exact."""
 
     @pytest.mark.parametrize("r", [1.5, 300.0])
     def test_random_adds_and_removals_keep_tops_exact(self, r):
@@ -479,52 +489,53 @@ class TestCachedMaxima:
         db = database_from_items(rows * 2 + probes)
         members = db.transactions[:2 * len(rows)]
         outside = db.transactions[2 * len(rows):]
-        placer = _Placer(db.m, set(map(len, db.rows)), r)
+        placer = _Placer(db.m, r)
         homes = [None] * len(members)
-        fresh = itertools.count()
         seen = Counter()
         removed = False
         for _ in range(800):
             i = rng.randrange(len(members))
             t, home = members[i], homes[i]
             if home is None:
-                homes[i] = rng.choice(placer.cids + [next(fresh)])
+                homes[i] = rng.choice([*placer.stats, placer.next_id])
                 placer.add(homes[i], t.items)
             else:
-                slot = placer.cids.index(home)
                 deleted = homes.count(home) == 1
                 before = dict(placer.tops)
                 placer.remove(home, t.items)
                 homes[i] = None
                 removed = True
+                if deleted:
+                    assert all(column[home] == -math.inf for column in placer.disjoint.values())
                 for key, top in before.items():
-                    if deleted and top == slot:
+                    if deleted and top == home:
                         seen["top cluster deleted"] += 1
-                    elif deleted and top > slot:
-                        seen["deleted below the top"] += 1
-                    elif top == slot and placer.tops[key] == -1:
+                    elif top == home and placer.tops[key] == -1:
                         seen["top entry fell"] += 1
             _assert_tops_are_first_maxima(placer)
 
             summaries = placer.summaries()
             probe = rng.choice(outside)
             opened = len(placer.disjoint)
-            assert placer.best(probe.items) == best_home(summaries, probe, r)
+            cid = placer.best(probe.items)
+            assert cid is None or cid in placer.stats
+            assert cid == best_home(summaries, probe, r)
             if len(placer.disjoint) > opened and removed:
                 seen["column opened after a removal"] += 1
             placed = [j for j, cid in enumerate(homes) if cid is not None]
             if placed:
                 j = rng.choice(placed)
                 summaries[homes[j]].remove(members[j])
-                assert placer.best(members[j].items, homes[j]) == best_home(
-                    summaries, members[j], r, homes[j])
+                cid = placer.best(members[j].items, homes[j])
+                assert cid is None or cid in placer.stats
+                assert cid == best_home(summaries, members[j], r, homes[j])
             _assert_tops_are_first_maxima(placer)
             for key, column in placer.disjoint.items():
                 top = placer.tops[key]
                 if top >= 0 and column.count(column[top]) > 1:
                     seen["tied top"] += 1
-        assert set(seen) == {"top cluster deleted", "deleted below the top", "top entry fell",
-                             "tied top", "column opened after a removal"}, seen
+        assert set(seen) == {"top cluster deleted", "top entry fell", "tied top",
+                             "column opened after a removal"}, seen
 
     def test_home_holding_the_cached_top_is_held_out(self):
         # At r=0.5 the home {cf} holds the greatest entry of column (2, 2);
@@ -532,7 +543,7 @@ class TestCachedMaxima:
         # and t, which shares no item with either, joins id 0.
         db = letters_db("a", "a", "cf", "de")
         t, disjoint = db.transactions[2:]
-        placer = _Placer(db.m, {1, 2}, 0.5)
+        placer = _Placer(db.m, 0.5)
         for cid, member in enumerate(db.transactions[:3]):
             placer.add(cid, member.items)
         column = [delta_add(summary, disjoint, 0.5) for summary in placer.summaries().values()]
@@ -543,7 +554,7 @@ class TestCachedMaxima:
         assert column.index(max(column)) == 2 and column[0] == column[1]
         assert placer.disjoint == {}
         for _ in range(2):
-            # the first call opens the column and caches the home's slot, the
+            # the first call opens the column and caches the home's id, the
             # second reads it
             assert placer.best(t.items, 2) == want
             assert placer.tops == {(2, 2): 2}
@@ -567,7 +578,7 @@ class TestFullRows:
 
     def test_first_placement_on_an_empty_placer(self):
         db = letters_db(*self._subsets())
-        placer = _Placer(db.m, set(map(len, db.rows)), 1.5)
+        placer = _Placer(db.m, 1.5)
         for t in db.transactions:
             assert placer.best(t.items) is None
             assert best_home({}, t, 1.5) is None
@@ -576,7 +587,7 @@ class TestFullRows:
     def test_every_subset_matches_the_reference(self, r):
         members = [m for cid in sorted(self.MEMBERS) for m in self.MEMBERS[cid]]
         db = letters_db(*members, *self._subsets())
-        placer = _Placer(db.m, set(map(len, db.rows)), r)
+        placer = _Placer(db.m, r)
         for cid, member in zip((0, 0, 1, 1, 2, 2), db.transactions):
             placer.add(cid, member.items)
         h, n = db.strings.index("h"), db.strings.index("n")
@@ -598,7 +609,7 @@ class TestFullRows:
         # offers t more than {hb} (id 1), which shares both of t's items.
         db = letters_db("h", "hrs", "hb", "hb")
         *members, t = db.transactions
-        placer = _Placer(db.m, {1, 2, 3}, 0.5)
+        placer = _Placer(db.m, 0.5)
         for cid, member in zip((0, 0, 1), members):
             placer.add(cid, member.items)
         summaries = placer.summaries()
@@ -615,13 +626,13 @@ class TestFullRows:
         # Whichever has the lower id takes t.
         db = letters_db("h", "habcd", "hby")
         *members, t = db.transactions
-        placer = _Placer(db.m, {1, 3, 5}, 1.0)
+        placer = _Placer(db.m, 1.0)
         for cid, member in sorted(zip(ids, members)):
             placer.add(cid, member.items)
         summaries = placer.summaries()
         assert delta_add(summaries[ids[0]], t, 1.0) == delta_add(summaries[ids[1]], t, 1.0) > 1.0
         assert placer.best(t.items) == best_home(summaries, t, 1.0) == 0
-        # {h}'s slot holds the top of column (3, 2)
+        # {h}'s entry is the top of column (3, 2)
         assert placer.tops[(3, 2)] == ids[0]
 
 

@@ -184,6 +184,19 @@ class TestRoundTrip:
             with open(path, "rb") as fh:
                 assert parse_transactions(fh, delimiter=delimiter) == db
 
+    @pytest.mark.parametrize("delimiter", ["", "\n", "\r", "a\rb"])
+    def test_delimiter_no_line_can_hold_is_refused_before_any_io(self, tmp_path, delimiter):
+        # "\n" would write {a, b} as the lines a and b, which re-read as two
+        # transactions; "" would only fail inside str.split, at the first line.
+        db = database_from_items([["a", "b"]])
+        path = tmp_path / "db.txt"
+        refused = re.escape(f"delimiter must be non-empty and hold no line break, got {delimiter!r}")
+        with pytest.raises(ParseError, match=refused):
+            write_transactions(db, path, delimiter)
+        assert not path.exists()
+        with pytest.raises(ParseError, match=refused):
+            parse_transactions(_read_up_to(["a\tb"], 0), delimiter=delimiter)
+
 
 class TestParseQueryLog:
     def test_plain_row_without_click(self):
