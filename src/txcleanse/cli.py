@@ -259,8 +259,7 @@ def cmd_fit(config: PipelineConfig, args: argparse.Namespace) -> int:
     db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
     if db.m == 0:
         raise EmptyInputError("no items to fit")
-    hist = item_frequencies(db)
-    fit = fit_distribution(hist, config.distribution, config.s, raw_band=config.raw_band)
+    fit, hist = _band_from_config(db, config)
     verdicts = Counter(fit.classify(f) for f in hist.per_item.values())
     payload = {
         **fit.to_json_dict(),

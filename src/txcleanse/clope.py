@@ -7,13 +7,14 @@ clustering's profit is
     profit = sum_i( S_i / W_i**r * N_i ) / sum_i( N_i )
 
 where the repulsion r > 0 penalizes wide clusters; larger r favors more,
-tighter clusters. Clustering proceeds in an add phase followed by refinement
-passes that take each transaction out of its cluster and place it again,
-until a pass moves nothing. Both phases place a transaction, in tid order, by
-one rule: its home (the cluster it just left, if any) is the baseline and
-wins ties; other clusters, scanned in ascending id, take over only on a
-strictly greater profit-numerator delta (``delta_add``); a fresh cluster wins
-only if strictly better than all of them. An emptied home stays in the scan,
+tighter clusters. Clustering is one loop of passes over the transactions in
+tid order. Pass 0, the add phase, places each one for the first time; each
+later pass takes it out of its cluster and places it again, until a pass
+moves nothing. Every placement follows one rule: its home (the cluster it
+just left, none in pass 0) is the baseline and wins ties; other clusters,
+scanned in ascending id, take over only on a strictly greater
+profit-numerator delta (``delta_add``); a fresh cluster wins only if
+strictly better than all of them. An emptied home stays in the scan,
 so a singleton keeps its id and is not moved. Identical inputs thus yield
 identical clusterings.
 
@@ -420,7 +421,9 @@ def clope_cluster(
 ) -> Clustering:
     """Cluster a database by iterative profit maximization.
 
-    Refinement stops after a pass with zero moves, or at ``max_passes``
+    Pass 0, the add phase, places every transaction, and passes 1 to
+    ``max_passes`` refine by the same placement, from each transaction's
+    home. Refinement stops after a pass with zero moves, or at ``max_passes``
     (a safety valve; hitting it is reported via ``hit_max_passes``). Empty
     clusters are collected immediately. The reported profit sequence is
     non-decreasing.
@@ -435,23 +438,15 @@ def clope_cluster(
         raise ValueError(f"transaction {rows.index(())} is empty; cleanse before clustering")
 
     placer = _Placer(db.m, repulsion)
-    assignment = [0] * db.n
-
-    started = time.perf_counter()
-    for tid, row in enumerate(rows):
-        cid = placer.best(row)
-        if cid is None:
-            cid = placer.next_id
-        placer.add(cid, row)
-        assignment[tid] = cid
-    seconds_add = time.perf_counter() - started
-
-    profits = [placer.profit(db.n)]
+    # No transaction has a home before pass 0, the add phase.
+    assignment: list[int | None] = [None] * db.n
+    profits: list[float] = []
     moves_per_pass: list[int] = []
+    seconds: list[float] = []
 
-    started = time.perf_counter()
     last_move = db.n
-    for _ in range(max_passes):
+    for pass_ in range(max_passes + 1):
+        started = time.perf_counter()
         moves = 0
         for tid, row in enumerate(rows):
             # Past the last move, with none made since, each transaction would
@@ -460,30 +455,29 @@ def clope_cluster(
                 break
             home = assignment[tid]
             cid = placer.best(row, home)
-            if cid == home:
-                continue
             if cid is None:
                 cid = placer.next_id
-            placer.remove(home, row)
+            if cid == home:
+                continue
+            if home is not None:
+                placer.remove(home, row)
             placer.add(cid, row)
             assignment[tid] = cid
             last_move = tid
             moves += 1
-        moves_per_pass.append(moves)
         profits.append(placer.profit(db.n))
-        if profits[-1] < profits[-2] - PROFIT_RTOL * max(1.0, abs(profits[-2])):
-            raise RuntimeError(
-                f"profit decreased across pass {len(moves_per_pass)}: {profits[-2]} -> {profits[-1]}"
-            )
+        seconds.append(time.perf_counter() - started)
+        if pass_:
+            moves_per_pass.append(moves)
+            if profits[-1] < profits[-2] - PROFIT_RTOL * max(1.0, abs(profits[-2])):
+                raise RuntimeError(
+                    f"profit decreased across pass {pass_}: {profits[-2]} -> {profits[-1]}"
+                )
         if moves == 0:
             break
-    seconds_refine = time.perf_counter() - started
 
     # Dense, order-stable cluster ids: renumber by smallest member tid.
-    first_member: dict[int, int] = {}
-    for tid, cid in enumerate(assignment):
-        first_member.setdefault(cid, tid)
-    renumber = {cid: new for new, cid in enumerate(sorted(first_member, key=first_member.get))}
+    renumber = {cid: new for new, cid in enumerate(dict.fromkeys(assignment))}
     assignment = [renumber[cid] for cid in assignment]
     clusters = {renumber[cid]: summary for cid, summary in placer.summaries().items()}
 
@@ -496,8 +490,8 @@ def clope_cluster(
         passes=len(moves_per_pass),
         moves_per_pass=moves_per_pass,
         hit_max_passes=moves_per_pass[-1] > 0,
-        seconds_add=seconds_add,
-        seconds_refine=seconds_refine,
+        seconds_add=seconds[0],
+        seconds_refine=sum(seconds[1:]),
     )
 
 

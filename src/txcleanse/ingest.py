@@ -116,7 +116,10 @@ def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t",
     starts with ``#``, nor line 1 with U+FEFF. ``write_transactions`` refuses
     to write any other lines. A normalized string is never empty, and no
     builder or ``remap`` makes one, so ``db.strings`` is written unfiltered.
+    A bad delimiter (see ``check_delimiter``) raises ``ParseError`` before the
+    first line is yielded.
     """
+    check_delimiter(delimiter)
     item = (db.strings if strings is None else strings).__getitem__
     for row in db.rows:
         items = map(item, row)

@@ -155,7 +155,12 @@ class TestClusterCommand:
         report = json.loads((out / "cluster_report.json").read_text())
         assert report["k"] == 2
         assert report["profit"] == pytest.approx(0.75)
-        assert "seconds" in report
+        seconds = report["seconds"]
+        for stage in ("ingest", "add_phase", "refine_phase"):
+            assert isinstance(seconds[stage], float)
+            assert math.isfinite(seconds[stage]) and seconds[stage] >= 0
+        assert len(report["moves_per_pass"]) == report["passes"]
+        assert len(report["profit_per_pass"]) == report["passes"] + 1
 
     def test_empty_input(self, tmp_path):
         empty = tmp_path / "empty.tsv"

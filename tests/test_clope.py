@@ -638,21 +638,25 @@ class TestFullRows:
 
 class TestTailExit:
     def test_pass_ends_after_its_last_move(self, monkeypatch):
-        # Pass 1 moves only tid 1. Pass 2 re-places tids 0 and 1 without a
-        # move; every later transaction stayed in pass 1 after the last move,
-        # and nothing has changed since, so the pass ends there.
+        # Pass 0, the add phase, places every transaction in tid order. Pass 1
+        # moves only tid 1. Pass 2 re-places tids 0 and 1 without a move;
+        # every later transaction stayed in pass 1 after the last move, and
+        # nothing has changed since, so the pass ends there.
         db = letters_db("ce", "cfg", "eg", "bd", "d", "bd", "c", "a")
-        calls = []
+        added, calls = [], []
         best = _Placer.best
 
         def recording_best(self, row, home=None):
             cid = best(self, row, home)
-            if home is not None:
+            if home is None:
+                added.append(row)
+            else:
                 calls.append((row, cid != home))
             return cid
 
         monkeypatch.setattr(_Placer, "best", recording_best)
         result = clope_cluster(db, 1.5)
+        assert added == list(db.rows)
         assert result.moves_per_pass == [1, 0]
         # pass 1 re-places every transaction in tid order
         assert [row for row, _ in calls[:db.n]] == list(db.rows)

@@ -196,6 +196,8 @@ class TestRoundTrip:
         assert not path.exists()
         with pytest.raises(ParseError, match=refused):
             parse_transactions(_read_up_to(["a\tb"], 0), delimiter=delimiter)
+        with pytest.raises(ParseError, match=refused):
+            list(serialize_transactions(db, delimiter))
 
 
 class TestParseQueryLog:
