@@ -39,7 +39,6 @@ from .ingest import (
     QueryLogRecord,
     iter_query_log,
     parse_keyword_registration,
-    parse_query_log,
     parse_transactions,
     serialize_transactions,
     sessionize,
@@ -80,7 +79,6 @@ __all__ = [
     "jaccard_parts",
     "normalize_item",
     "parse_keyword_registration",
-    "parse_query_log",
     "parse_transactions",
     "profit",
     "recompute_profit",

@@ -111,6 +111,17 @@ def fit_exponential(hist: Marginal) -> tuple[float, float]:
     return mean, mean
 
 
+# The range checks of a fitted band's parameters; the CLI validates with them.
+def check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+
+
+def check_s(s: float) -> None:
+    if not (s > 0 and math.isfinite(s)):
+        raise ValueError("band multiplier s must be finite and > 0")
+
+
 def _exp(x: float) -> float:
     """``math.exp``, but inf where the result would overflow a float."""
     try:
@@ -155,10 +166,8 @@ class Band:
         raw-space band (exponential, or lognormal with ``raw_band``) clamps a
         negative lower endpoint to 0.
         """
-        if kind not in KINDS:
-            raise ValueError(f"unknown distribution kind {kind!r}")
-        if not (s > 0 and math.isfinite(s)):
-            raise ValueError("band multiplier s must be finite and > 0")
+        check_kind(kind)
+        check_s(s)
         if sigma_hat < 0:
             raise ValueError("sigma_hat must be >= 0")
         log_space = kind == LOGNORMAL and not raw_band
@@ -227,12 +236,8 @@ def fit_distribution(
     raw_band: bool = False,
 ) -> Band:
     """Fit the requested distribution and return its retention band."""
-    if kind == LOGNORMAL:
-        mu, sigma = fit_lognormal(hist)
-    elif kind == EXPONENTIAL:
-        mu, sigma = fit_exponential(hist)
-    else:
-        raise ValueError(f"unknown distribution kind {kind!r}")
+    check_kind(kind)
+    mu, sigma = (fit_lognormal if kind == LOGNORMAL else fit_exponential)(hist)
     return Band.from_fit(kind, mu, sigma, s, raw_band=raw_band)
 
 
@@ -242,6 +247,7 @@ def log_likelihood(hist: Marginal, kind: str) -> float | None:
     Returns None when the likelihood is degenerate (zero-variance lognormal).
     Distribution choice stays with the caller; this is reporting only.
     """
+    check_kind(kind)
     pairs = _pairs(hist)
     if kind == LOGNORMAL:
         mu, sigma = fit_lognormal(pairs)
@@ -252,11 +258,9 @@ def log_likelihood(hist: Marginal, kind: str) -> float | None:
             k * (-math.log(f) - const - (math.log(f) - mu) ** 2 / (2.0 * sigma**2))
             for f, k in pairs
         )
-    if kind == EXPONENTIAL:
-        mean, _ = fit_exponential(pairs)
-        rate = 1.0 / mean
-        return _ordered_sum(k * (math.log(rate) - rate * f) for f, k in pairs)
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    mean, _ = fit_exponential(pairs)
+    rate = 1.0 / mean
+    return _ordered_sum(k * (math.log(rate) - rate * f) for f, k in pairs)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 import time
 from collections import Counter
@@ -28,6 +27,8 @@ from .cleanse import (
     Band,
     FrequencyHistogram,
     ManualBand,
+    check_kind,
+    check_s,
     fit_distribution,
     item_frequencies,
     log_likelihood,
@@ -55,7 +56,8 @@ class PipelineConfig:
     """Knobs of one experiment run; mirrors the report's config stanza.
 
     Every data subcommand reads its parameters through this class, and
-    ``validate`` is their one range check.
+    ``validate`` checks them all with the checks of the modules that take
+    them.
     """
 
     input_path: str
@@ -76,24 +78,17 @@ class PipelineConfig:
         """Raise ParseError naming the first out-of-range parameter."""
         if self.fmt not in FORMATS:
             raise ParseError(f"unknown format {self.fmt!r}")
-        ingest.check_delimiter(self.delimiter)
-        if self.distribution not in KINDS:
-            raise ParseError(f"unknown distribution {self.distribution!r}")
-        if not (self.s > 0 and math.isfinite(self.s)):
-            raise ParseError("s must be finite and > 0")
-        if not (self.repulsion > 0 and math.isfinite(self.repulsion)):
-            raise ParseError("repulsion must be finite and > 0")
-        if self.max_passes < 1:
-            raise ParseError("max-passes must be >= 1")
-        if self.limit is not None and self.limit < 1:
-            raise ParseError("limit must be >= 1")
-        if (self.manual_lower is None) != (self.manual_upper is None):
-            raise ParseError("manual band needs both --lower and --upper")
-        if self.manual_lower is not None:
-            try:
+        try:
+            ingest.check_delimiter(self.delimiter)
+            check_kind(self.distribution)
+            check_s(self.s)
+            clope.check_repulsion(self.repulsion)
+            clope.check_max_passes(self.max_passes)
+            ingest.check_limit(self.limit)
+            if self.manual_lower is not None or self.manual_upper is not None:
                 ManualBand(self.manual_lower, self.manual_upper)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
+        except ValueError as exc:  # ParseError included
+            raise ParseError(str(exc)) from None
 
     def to_json_dict(self) -> dict:
         return {

@@ -50,7 +50,7 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .core import ItemId, Transaction, TransactionDatabase
@@ -59,9 +59,15 @@ from .core import ItemId, Transaction, TransactionDatabase
 PROFIT_RTOL = 1e-9
 
 
-def _check_repulsion(repulsion: float) -> None:
+# The range checks of CLOPE's parameters; the CLI validates with them.
+def check_repulsion(repulsion: float) -> None:
     if not (repulsion > 0 and math.isfinite(repulsion)):
         raise ValueError("repulsion must be finite and > 0")
+
+
+def check_max_passes(max_passes: int) -> None:
+    if max_passes < 1:
+        raise ValueError("max_passes must be >= 1")
 
 
 def _gain(occurrences: int, width: int, members: int, r: float) -> float:
@@ -78,6 +84,7 @@ def _gain(occurrences: int, width: int, members: int, r: float) -> float:
         return math.exp(math.log(occurrences) - r * math.log(width) + math.log(members))
 
 
+@dataclass(slots=True)
 class ClusterSummary:
     """Incremental (occurrence map, S, W, N) statistics of one cluster.
 
@@ -85,12 +92,9 @@ class ClusterSummary:
     re-adding it restores the summary bit-for-bit.
     """
 
-    __slots__ = ("occ", "occurrences", "members")
-
-    def __init__(self) -> None:
-        self.occ: dict[ItemId, int] = {}
-        self.occurrences = 0
-        self.members = 0
+    occ: dict[ItemId, int] = field(default_factory=dict)
+    occurrences: int = 0
+    members: int = 0
 
     @property
     def width(self) -> int:
@@ -120,7 +124,6 @@ class ClusterSummary:
     @classmethod
     def from_transactions(cls, transactions: Iterable[Transaction]) -> ClusterSummary:
         """From-scratch rebuild (tests compare this against incremental state)."""
-        summary = cls()
         occ: dict[ItemId, int] = {}
         total = 0
         count = 0
@@ -129,25 +132,7 @@ class ClusterSummary:
                 occ[item] = occ.get(item, 0) + 1
             total += len(t.items)
             count += 1
-        summary.occ = occ
-        summary.occurrences = total
-        summary.members = count
-        return summary
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClusterSummary):
-            return NotImplemented
-        return (
-            self.occ == other.occ
-            and self.occurrences == other.occurrences
-            and self.members == other.members
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ClusterSummary(S={self.occurrences}, W={len(self.occ)}, "
-            f"N={self.members})"
-        )
+        return cls(occ, total, count)
 
 
 def profit(summaries: Iterable[ClusterSummary], repulsion: float) -> float:
@@ -156,7 +141,7 @@ def profit(summaries: Iterable[ClusterSummary], repulsion: float) -> float:
     Summation follows the given iteration order; callers wanting
     reproducible floats should pass clusters in a fixed order.
     """
-    _check_repulsion(repulsion)
+    check_repulsion(repulsion)
     numerator = 0.0
     total_members = 0
     for summary in summaries:
@@ -405,12 +390,11 @@ class _Placer:
 
     def summaries(self) -> dict[int, ClusterSummary]:
         """The ClusterSummary of each live cluster, in ascending id."""
-        summaries = {cid: ClusterSummary() for cid in self.stats}
+        summaries = {cid: ClusterSummary({}, S, N1 - 1)
+                     for cid, (S, _, N1, _) in self.stats.items()}
         for item, row in enumerate(self.index):
             for cid, count in row.items():
                 summaries[cid].occ[item] = count
-        for cid, (S, _, N1, _) in self.stats.items():
-            summaries[cid].occurrences, summaries[cid].members = S, N1 - 1
         return summaries
 
 
@@ -428,9 +412,8 @@ def clope_cluster(
     clusters are collected immediately. The reported profit sequence is
     non-decreasing.
     """
-    _check_repulsion(repulsion)
-    if max_passes < 1:
-        raise ValueError("max_passes must be >= 1")
+    check_repulsion(repulsion)
+    check_max_passes(max_passes)
     if db.n == 0:
         raise ValueError("cannot cluster an empty database")
     rows = db.rows
@@ -502,7 +485,7 @@ def recompute_profit(
 ) -> float:
     """Naive from-scratch profit of an assignment, independent of the
     incremental machinery; the verification twin of clope_cluster's value."""
-    _check_repulsion(repulsion)
+    check_repulsion(repulsion)
     if len(assignment) != db.n or db.n == 0:
         raise ValueError("assignment must cover every transaction")
     groups: dict[int, list[Transaction]] = {}
@@ -521,9 +504,6 @@ def _partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All set partitions of range(n) as restricted-growth strings, in
     lexicographic order (labels numbered by first appearance)."""
     if n == 0:
-        return
-    if n == 1:
-        yield (0,)
         return
     labels = [0] * n
 

@@ -63,7 +63,7 @@ def _decoded_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
                 yield lineno, text
 
 
-def _check_limit(limit: int | None) -> None:
+def check_limit(limit: int | None) -> None:
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
 
@@ -89,7 +89,7 @@ def parse_transactions(
     ``truncate`` of the whole parse. A bad delimiter (see ``check_delimiter``)
     raises ``ParseError`` before any line is read.
     """
-    _check_limit(limit)
+    check_limit(limit)
     check_delimiter(delimiter)
     warn = on_warning or log.warning
     builder = DatabaseBuilder()
@@ -226,14 +226,6 @@ def iter_query_log(
         yield QueryLogRecord(anon_id, query, fields[time_idx].strip(), item_rank, click_url)
 
 
-def parse_query_log(
-    lines: Iterable[str | bytes],
-    on_warning: WarningSink | None = None,
-) -> list[QueryLogRecord]:
-    """The records of ``iter_query_log(lines, on_warning)`` as a list."""
-    return list(iter_query_log(lines, on_warning))
-
-
 def sessionize(records: Iterable[QueryLogRecord]) -> TransactionDatabase:
     """Group query-log records into one transaction per user.
 
@@ -263,7 +255,7 @@ def parse_keyword_registration(
     usable keywords are skipped with a warning. ``limit`` stops reading as
     in ``parse_transactions``.
     """
-    _check_limit(limit)
+    check_limit(limit)
     warn = on_warning or log.warning
     builder = DatabaseBuilder()
     kept = 0
@@ -290,14 +282,14 @@ def truncate(db: TransactionDatabase, limit: int) -> TransactionDatabase:
     ``DatabaseBuilder`` and ``cleanse`` guarantee: the head then uses
     exactly the ids 0..(largest id in the head). The result shares the
     head's own rows and labels and the prefix of ``db.strings``; no row is
-    copied.
+    copied. A head that holds no id keeps no string.
     """
-    _check_limit(limit)
+    check_limit(limit)
     if limit >= db.n:
         return db
     head = db.rows[:limit]
-    return TransactionDatabase(db.strings[:max(row[-1] for row in head) + 1], head,
-                               db.labels[:limit])
+    largest = max((row[-1] for row in head if row), default=-1)
+    return TransactionDatabase(db.strings[:largest + 1], head, db.labels[:limit])
 
 
 __all__ = [
@@ -306,7 +298,6 @@ __all__ = [
     "serialize_transactions",
     "write_transactions",
     "iter_query_log",
-    "parse_query_log",
     "sessionize",
     "parse_keyword_registration",
     "truncate",

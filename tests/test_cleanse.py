@@ -153,6 +153,10 @@ class TestComputeBounds:
             Band.from_fit("lognormal", 1.0, -0.5, 1.0)
         with pytest.raises(ValueError):
             Band.from_fit("weibull", 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="unknown distribution kind 'weibull'"):
+            fit_distribution([(1, 2)], "weibull")
+        with pytest.raises(ValueError, match="unknown distribution kind 'weibull'"):
+            log_likelihood([(1, 2)], "weibull")
 
 
 class TestDistributionFitClassify:

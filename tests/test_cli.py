@@ -1,3 +1,4 @@
+import collections.abc
 import contextlib
 import gc
 import importlib
@@ -499,19 +500,24 @@ def _query_log_rows(path: Path, rows: int, users: int) -> None:
 
 def _load_listed(path: Path):
     with open(path, "rb") as fh:
-        return ingest.sessionize(ingest.parse_query_log(fh))
+        return ingest.sessionize(list(ingest.iter_query_log(fh)))
 
 
 def test_aol_load_streams_the_log_into_sessionize(tmp_path, monkeypatch):
     path = tmp_path / "queries.tsv"
     _query_log_rows(path, 200, 20)
     expected = _load_listed(path)
+    passed = []
+    sessionize = ingest.sessionize
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("load_database built the list of log records")
+    def recording(records):
+        passed.append(records)
+        return sessionize(records)
 
-    monkeypatch.setattr(ingest, "parse_query_log", refuse)
+    monkeypatch.setattr(ingest, "sessionize", recording)
     assert load_database(path, "aol") == expected
+    (records,) = passed
+    assert isinstance(records, collections.abc.Iterator)  # so never a list
 
 
 def test_aol_load_peak_memory_is_well_below_the_list_path(tmp_path):
@@ -570,35 +576,41 @@ def _exit_code(argv):
         return exc.code
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("fit", ["--s", "0"]),
-    ("fit", ["--s", "-1"]),
-    ("fit", ["--s", "nan"]),
-    ("fit", ["--s", "inf"]),
-    ("fit", ["--s", "abc"]),
-    ("pipeline", ["--s", "nan"]),
-    ("cluster", ["--repulsion", "0"]),
-    ("cluster", ["--repulsion", "inf"]),
-    ("pipeline", ["--repulsion", "nan"]),
-    ("pipeline", ["--repulsion", "inf"]),
-    ("cleanse", ["--lower", "nan", "--upper", "3"]),
-    ("cleanse", ["--lower", "1", "--upper", "nan"]),
-    ("cleanse", ["--lower", "50", "--upper", "3"]),
-    ("cleanse", ["--lower", "inf", "--upper", "inf"]),
-    ("pipeline", ["--lower", "50", "--upper", "3"]),
-    ("stats", ["--limit", "0"]),
-    ("fit", ["--limit", "0"]),
-    ("cluster", ["--max-passes", "0"]),
-    ("cleanse", ["--lower", "1"]),
-    ("pipeline", ["--delimiter", ""]),
-    ("pipeline", ["--delimiter", "\n"]),
-    ("cleanse", ["--delimiter", "a\rb"]),
-])
-def test_bad_parameter_is_usage_error(noise1_file, tmp_path, capsys, command, flags):
+# (command, flags, text that stderr must hold)
+BAD_PARAMETERS = [
+    ("fit", ["--s", "0"], "s must be finite"),
+    ("fit", ["--s", "-1"], "s must be finite"),
+    ("fit", ["--s", "nan"], "s must be finite"),
+    ("fit", ["--s", "inf"], "s must be finite"),
+    ("fit", ["--s", "abc"], "argument --s: invalid float value"),
+    ("pipeline", ["--s", "nan"], "s must be finite"),
+    ("cluster", ["--repulsion", "0"], "repulsion must be finite"),
+    ("cluster", ["--repulsion", "inf"], "repulsion must be finite"),
+    ("pipeline", ["--repulsion", "nan"], "repulsion must be finite"),
+    ("pipeline", ["--repulsion", "inf"], "repulsion must be finite"),
+    ("cleanse", ["--lower", "nan", "--upper", "3"], "manual band"),
+    ("cleanse", ["--lower", "1", "--upper", "nan"], "manual band"),
+    ("cleanse", ["--lower", "50", "--upper", "3"], "manual band"),
+    ("cleanse", ["--lower", "inf", "--upper", "inf"], "manual band"),
+    ("pipeline", ["--lower", "50", "--upper", "3"], "manual band"),
+    ("stats", ["--limit", "0"], "limit must be >= 1"),
+    ("fit", ["--limit", "0"], "limit must be >= 1"),
+    ("cluster", ["--max-passes", "0"], "passes must be >= 1"),
+    ("cleanse", ["--lower", "1"], "manual band"),
+    ("pipeline", ["--delimiter", ""], "delimiter must be"),
+    ("pipeline", ["--delimiter", "\n"], "delimiter must be"),
+    ("cleanse", ["--delimiter", "a\rb"], "delimiter must be"),
+]
+
+
+# The ids name the command and the row, leaving the expected text out.
+@pytest.mark.parametrize("command, flags, named", BAD_PARAMETERS,
+                         ids=[f"{case[0]}-flags{i}" for i, case in enumerate(BAD_PARAMETERS)])
+def test_bad_parameter_is_usage_error(noise1_file, tmp_path, capsys, command, flags, named):
     out = tmp_path / "out"
     assert _exit_code([command, str(noise1_file), *flags, "--out-dir", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.strip()
+    assert named in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()
 

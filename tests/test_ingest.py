@@ -16,7 +16,6 @@ from txcleanse import (
     QueryLogRecord,
     iter_query_log,
     parse_keyword_registration,
-    parse_query_log,
     parse_transactions,
     serialize_transactions,
     sessionize,
@@ -24,9 +23,15 @@ from txcleanse import (
     write_transactions,
 )
 from txcleanse.cli import load_database
-from txcleanse.core import database_from_items
+from txcleanse.core import TransactionDatabase, database_from_items
 
 AOL_HEADER = "AnonID\tQuery\tQueryTime\tItemRank\tClickURL"
+
+
+def _listed_query_log(lines, on_warning=None):
+    """``iter_query_log``'s records as a list, in the call shape of the
+    other parsers for the helpers that take a parser."""
+    return list(iter_query_log(lines, on_warning))
 
 
 class TestParseTransactions:
@@ -203,57 +208,57 @@ class TestRoundTrip:
 class TestParseQueryLog:
     def test_plain_row_without_click(self):
         rows = [AOL_HEADER, "37264\tdisneyland\t2006-03-01 10:00:00\t\t"]
-        records = parse_query_log(rows)
+        records = list(iter_query_log(rows))
         assert records == [
             QueryLogRecord("37264", "disneyland", "2006-03-01 10:00:00", None, None)
         ]
 
     def test_click_pair_parsed(self):
         rows = [AOL_HEADER, "1\tq\tt\t3\thttp://x"]
-        (record,) = parse_query_log(rows)
+        (record,) = list(iter_query_log(rows))
         assert record.item_rank == 3
         assert record.click_url == "http://x"
 
     def test_header_only(self):
-        assert parse_query_log([AOL_HEADER]) == []
+        assert list(iter_query_log([AOL_HEADER])) == []
 
     def test_wrong_arity_skipped_with_warning(self):
         warnings = []
-        records = parse_query_log(
+        records = list(iter_query_log(
             [AOL_HEADER, "1\tq\tt", "2\tr\tt\t\t"], on_warning=warnings.append
-        )
+        ))
         assert len(records) == 1
         assert len(warnings) == 1
 
     def test_missing_required_column_is_hard_error(self):
         with pytest.raises(ParseError, match="querytime"):
-            parse_query_log(["AnonID\tQuery", "1\tq"])
+            list(iter_query_log(["AnonID\tQuery", "1\tq"]))
 
     def test_columns_matched_by_name_any_order(self):
         rows = ["Query\tAnonID\tQueryTime", "ponyo\t9\tt1"]
-        (record,) = parse_query_log(rows)
+        (record,) = list(iter_query_log(rows))
         assert record.anon_id == "9"
         assert record.query == "ponyo"
 
     def test_half_click_pair_dropped_with_warning(self):
         warnings = []
-        (record,) = parse_query_log(
+        (record,) = list(iter_query_log(
             [AOL_HEADER, "1\tq\tt\t4\t"], on_warning=warnings.append
-        )
+        ))
         assert record.item_rank is None and record.click_url is None
         assert len(warnings) == 1
 
     def test_empty_id_or_query_skipped(self):
         warnings = []
-        records = parse_query_log(
+        records = list(iter_query_log(
             [AOL_HEADER, "\tq\tt\t\t", "1\t\tt\t\t"], on_warning=warnings.append
-        )
+        ))
         assert records == []
         assert len(warnings) == 2
 
     def test_empty_stream_is_error(self):
         with pytest.raises(ParseError):
-            parse_query_log([])
+            list(iter_query_log([]))
 
     @pytest.mark.parametrize("header, named", [
         ("AnonID\tQuery\tQueryTime\t query ", "'query' twice (fields 2 and 4)"),
@@ -263,10 +268,10 @@ class TestParseQueryLog:
     ])
     def test_column_named_twice_is_hard_error(self, header, named):
         with pytest.raises(ParseError, match=rf"^query log header names column {re.escape(named)}$"):
-            parse_query_log([header, "1\tq\tt"])
+            list(iter_query_log([header, "1\tq\tt"]))
 
     def test_empty_header_fields_name_no_column(self):
-        (record,) = parse_query_log(["AnonID\t\tQuery\t \tQueryTime", "1\ta\tq\tb\tt"])
+        (record,) = list(iter_query_log(["AnonID\t\tQuery\t \tQueryTime", "1\ta\tq\tb\tt"]))
         assert record == QueryLogRecord("1", "q", "t")
 
     def test_record_is_a_frozen_slotted_value(self):
@@ -426,6 +431,11 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate(db, 0)
 
+    def test_head_of_empty_rows_keeps_no_string(self):
+        db = TransactionDatabase(("a",), ((), (0,)), (None, None))
+        cut = truncate(db, 1)
+        assert (cut.strings, cut.rows, cut.labels) == ((), ((),), (None,))
+
 
 def _read_up_to(lines, stop):
     """Yield ``lines[:stop]``, then fail if another line is asked for."""
@@ -504,10 +514,10 @@ class TestLineEnds:
 
     def test_aol_cr_only(self):
         warnings = []
-        records = parse_query_log(
+        records = list(iter_query_log(
             io.BytesIO(f"{AOL_HEADER}\r1\tq\tt\t\t\r2\tr\tt\r3\ts\tt\t\t".encode()),
             on_warning=warnings.append,
-        )
+        ))
         assert [(r.anon_id, r.query) for r in records] == [("1", "q"), ("3", "s")]
         assert warnings == ["line 3: expected 5 fields, got 3; row skipped"]
 
@@ -540,11 +550,11 @@ class TestByteOrderMark:
         self._assert_parses_as_twin(parse_keyword_registration, "a.com\tx\ty\nb.com\ty\n")
 
     def test_aol(self):
-        self._assert_parses_as_twin(parse_query_log, f"{AOL_HEADER}\r\n1\tq\tt\t\t\r\n")
+        self._assert_parses_as_twin(_listed_query_log, f"{AOL_HEADER}\r\n1\tq\tt\t\t\r\n")
 
     @pytest.mark.parametrize("parse, lines", [
         (parse_transactions, [b"\xef\xbb\xbf\t", b"a", b"\xff"]),
-        (parse_query_log, [b"\xef\xbb\xbfAnonID\tQuery\tQueryTime", b"1\tq\tt", b"2\t\xff\tt"]),
+        (_listed_query_log, [b"\xef\xbb\xbfAnonID\tQuery\tQueryTime", b"1\tq\tt", b"2\t\xff\tt"]),
     ])
     def test_mark_dropped_before_bad_utf8(self, parse, lines):
         # With bare CR line ends the whole file is one line element, so the
@@ -615,12 +625,12 @@ class TestBoundaries:
     @given(_line_files(_AOL_HEADERS))
     def test_query_log_is_parsed_or_refused(self, files):
         lf, mixed = files
-        outcome = _outcome(parse_query_log, io.BytesIO(lf))
+        outcome = _outcome(_listed_query_log, io.BytesIO(lf))
         records, _ = outcome
         if isinstance(records, list):
             assert all(r.anon_id and r.query for r in records)
             assert sessionize(records).n == len({r.anon_id for r in records})
-        _assert_line_ends_do_not_matter(parse_query_log, outcome, mixed)
+        _assert_line_ends_do_not_matter(_listed_query_log, outcome, mixed)
 
     @given(_line_files())
     def test_keyword_dump_is_parsed_or_refused(self, files):
