@@ -302,12 +302,15 @@ def plan_cleanse(db: TransactionDatabase, band: Band, hist: FrequencyHistogram |
 
     ``hist`` must be ``item_frequencies(db)``; a caller that has already
     counted it for the fit passes it here, and it is counted when omitted.
-    A ``hist`` whose item count is not ``db.m`` raises ``ValueError``.
+    A ``hist`` that does not count the items ``db``'s rows hold raises
+    ``ValueError``. An item string that no row holds has frequency 0, which
+    ``hist`` leaves out: it is cut, and counted in ``items_removed_low``.
     """
     if hist is None:
         hist = item_frequencies(db)
-    elif hist.item_count != db.m:
-        raise ValueError(f"hist counts {hist.item_count} items but db has {db.m}: "
+    elif hist.item_count != db.m and (
+            hist.item_count > db.m or set(chain.from_iterable(db.rows)) != hist.per_item.keys()):
+        raise ValueError(f"hist counts {hist.item_count} items, not the ones db's rows hold: "
                          "it must be item_frequencies(db)")
     verdicts = list(map(band.classify, hist.per_item.values()))
     retained = sorted(item for item, v in zip(hist.per_item, verdicts) if v == 0)
@@ -316,8 +319,9 @@ def plan_cleanse(db: TransactionDatabase, band: Band, hist: FrequencyHistogram |
     kept = [s if i in id_map else None for i, s in enumerate(db.strings)]
     # A transaction survives iff it holds a retained item.
     emptied = sum(map(id_map.keys().isdisjoint, db.rows))
-    report = CleansingReport(counts[-1], counts[1], len(retained), emptied, db.n - emptied,
-                             fit=band, id_map=id_map)
+    unused = db.m - hist.item_count
+    report = CleansingReport(counts[-1] + unused, counts[1], len(retained), emptied,
+                             db.n - emptied, fit=band, id_map=id_map)
     return kept, report
 
 

@@ -307,6 +307,7 @@ def cmd_cluster(config: PipelineConfig, args: argparse.Namespace) -> int:
         "passes": clustering.passes,
         "profit_per_pass": clustering.profit_per_pass,
         "moves_per_pass": clustering.moves_per_pass,
+        "placements_per_pass": clustering.placements_per_pass,
         "hit_max_passes": clustering.hit_max_passes,
         "seconds": {
             "ingest": seconds_ingest,

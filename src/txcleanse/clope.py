@@ -32,14 +32,27 @@ cached and kept up to date as clusters change. So a placement scores one by
 one only the clusters that share one of its non-full rows, as ``(S+s) /
 pw[W+p-overlap] * (N+1) - G`` with G the cluster's current gain, and reads
 all others through one column maximum, rescanned only when the cached one
-fell or left. A pass costs O(n + sum of overlaps over non-full rows), plus
-one delta per column for each cluster change and O(ids added so far) for
-each rescan. A refinement pass that has moved nothing yet ends at the first
-transaction after the previous pass's last move: every later one stayed at
-its last placement, and nothing has changed since. Every delta is
-bit-identical to ``delta_add``'s. The index, one row per item id, is the
-only occurrence map: ``Clustering.clusters`` is read off it once, and each
-pass's profit sums the gains G the placer keeps.
+fell or left.
+
+A placement re-scores only what changed since the transaction's last one.
+The placer logs the id of the cluster each add and remove changes, and
+each transaction keeps the log's length and the delta that won right after
+its last placement. A cluster unchanged since offers the same delta as
+then, which was at most the winning one, and a fresh cluster's delta is
+constant. So if the log has not grown, the transaction stays in O(1); and
+while its home offers at least the delta that won, only the changed
+clusters that share a non-full row are scored, besides the column read.
+An unchanged home offers exactly that delta: a winning join ``(S+s) /
+pw[W'] * (N+1) - G`` is bit for bit the home's later ``G' - _gain(S, W,
+N)``, and the home wins ties. A placement thus costs O(1) when nothing
+changed, O(s + sum over its non-full rows of min(row, changed clusters))
+while its home holds, and O(s + entries of its non-full rows) otherwise
+or when half the clusters changed; a pass adds O(changes) to slide the
+log's window, one delta per column for each cluster change, and O(ids
+added so far) for each rescan. Every delta is bit-identical to
+``delta_add``'s. The index, one row per item id, is the only occurrence
+map: ``Clustering.clusters`` is read off it once, and each pass's profit
+sums the gains G the placer keeps.
 ``delta_add``, ``ClusterSummary`` and ``profit`` stay as the oracles the
 tests compare the kernel against.
 """
@@ -49,7 +62,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
+from array import array
+from collections import _count_elements
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -175,6 +189,9 @@ class Clustering:
     ``assignment[tid]`` is the dense cluster id (renumbered by smallest
     member tid); ``profit_per_pass`` starts with the add-phase profit and
     appends one value per refinement pass; ``profit`` is its last entry.
+    ``placements_per_pass[i]`` counts the placements of pass i that scored
+    every cluster sharing an item with the transaction (all n in pass 0);
+    the others scored only the clusters changed since its last placement.
     """
 
     assignment: list[int]
@@ -184,6 +201,7 @@ class Clustering:
     profit_per_pass: list[float]
     passes: int
     moves_per_pass: list[int]
+    placements_per_pass: list[int]
     hit_max_passes: bool
     seconds_add: float
     seconds_refine: float
@@ -229,6 +247,13 @@ class _Placer:
     exact. It becomes -1 when its own entry falls or its cluster is
     deleted, and passes to a cluster whose new entry is greater, or equal
     at a lower id.
+
+    ``changes`` logs the id of the cluster each ``add`` and ``remove``
+    changes, so the clusters changed since a transaction's last placement
+    are the ids in ``changes[since:]``, ``since`` the log's length then.
+    ``window`` counts the ids in ``changes[start:end]`` and slides forward
+    with ``since``. ``scored`` counts the placements that scored every
+    cluster sharing a non-full row.
     """
 
     def __init__(self, m: int, repulsion: float) -> None:
@@ -240,6 +265,10 @@ class _Placer:
         self.disjoint: dict[tuple[int, int], list[float]] = {}
         self.tops: dict[tuple[int, int], int] = {}
         self.next_id = 0
+        self.changes: list[int] = []
+        self.window: dict[int, int] = {}
+        self.start = self.end = 0
+        self.scored = 0
 
     def _delta(self, occurrences: int, width: int, members: int, gain: float) -> float:
         """``_gain(occurrences, width, members) - gain``, through the table."""
@@ -248,9 +277,10 @@ class _Placer:
         except IndexError:
             return _gain(occurrences, width, members, self.r) - gain
 
-    def best(self, items: tuple[ItemId, ...], home: int | None = None) -> int | None:
+    def best(self, items: tuple[ItemId, ...], home: int | None = None,
+             since: int = -1, won: float = 0.0) -> tuple[int | None, float]:
         """The id of the cluster that transaction t, whose row is ``items``,
-        should join, or None for a fresh one.
+        should join, or None for a fresh one, and the delta that won.
 
         ``home``, the cluster that holds ``t`` in refinement, is the baseline
         and wins ties; among the other clusters the greatest delta wins, and
@@ -263,20 +293,46 @@ class _Placer:
         non-full rows of t's s are scored, and all others are read through
         the maximum of column ``(s, p)``: O(entries of the non-full rows).
         The home's own entry is held out of that maximum.
+
+        ``since`` is ``len(changes)`` right after t's last placement, which
+        put it in ``home`` with delta ``won``, or -1 if there was none. Every
+        cluster unchanged since offers what it offered then, which was no
+        more. If nothing has changed, t stays in O(1). Otherwise, while the
+        home offers at least ``won``, no unchanged cluster can take t, and
+        only the changed ones are scored.
         """
+        if since == len(self.changes):
+            return home, won
+        s = len(items)
         stats = self.stats
         k = len(stats)
         if not k:
             # every row is empty, and so trivially full: t opens a cluster
-            return None
-        s = len(items)
+            self.scored += 1
+            return None, self._delta(s, s, 1, 0.0)
         rows = list(map(self.index.__getitem__, items))
+        if home is not None:
+            # the home's delta is its gain minus the gain it would have
+            # without t
+            S, W, N1, G = stats[home]
+            ones = sum(row[home] == 1 for row in rows)
+            home_delta = G - _gain(S - s, W - ones, N1 - 2, self.r)
+            if home_delta < won:
+                since = -1
         partial = [row for row in rows if len(row) != k] if k in map(len, rows) else rows
         p = len(partial)
-        # overlaps in the non-full rows, for the clusters that share one
-        ov = Counter(itertools.chain.from_iterable(partial))
-        if home is not None:
-            del ov[home]
+        if since < 0:
+            self.scored += 1
+            shared = partial
+        else:
+            changed = self._changed_since(since)
+            # Scoring an unchanged cluster too is exact; once half the
+            # clusters changed, it costs less than sifting the rows.
+            shared = [row.keys() & changed for row in partial] if 2 * len(changed) < k else partial
+        # overlaps in the non-full rows, for the clusters to score
+        ov: dict[int, int] = {}
+        _count_elements(ov, itertools.chain.from_iterable(shared))
+        ov.pop(home, None)
         best_cid, best = None, -math.inf
         pw = self.pw
         for cid, o in ov.items():
@@ -292,7 +348,9 @@ class _Placer:
         # cluster's column entry is at most its exact delta. A column maximum
         # above ``best`` is therefore an unscored cluster's delta, and one
         # equal to ``best`` is first held by a cluster whose exact delta
-        # equals ``best``: the lowest id among them wins the tie.
+        # equals ``best``: the lowest id among them wins the tie. (An
+        # unscored unchanged cluster's entry is at most the home's delta,
+        # so when it tops the column the home keeps t.)
         key = s, p
         column = self.disjoint.get(key)
         if column is None:
@@ -313,21 +371,38 @@ class _Placer:
             column[home] = held
         if top > -math.inf and (top > best or top == best and top_cid < best_cid):
             best, best_cid = top, top_cid
-        if home is not None:
-            # t stays in its home: the home's delta is its gain minus the gain
-            # it would have without t
-            S, W, N1, G = stats[home]
-            ones = sum(row[home] == 1 for row in rows)
-            d = G - _gain(S - s, W - ones, N1 - 2, self.r)
-            if d >= best:
-                best, best_cid = d, home
-        if self._delta(s, s, 1, 0.0) > best:
-            return None
-        return best_cid
+        if home is not None and home_delta >= best:
+            best, best_cid = home_delta, home
+        fresh = self._delta(s, s, 1, 0.0)
+        if fresh > best:
+            return None, fresh
+        return best_cid, best
+
+    def _changed_since(self, since: int):
+        """The ids in ``changes[since:]``, the clusters changed since.
+
+        A pass's placements read ever later ``since``, so the window slides
+        on in O(changes passed); an earlier ``since`` rebuilds it.
+        """
+        changes, window = self.changes, self.window
+        if since < self.start:
+            window.clear()
+            self.start = self.end = since
+        _count_elements(window, changes[self.end:])
+        self.end = len(changes)
+        for cid in changes[self.start:since]:
+            count = window[cid]
+            if count == 1:
+                del window[cid]
+            else:
+                window[cid] = count - 1
+        self.start = since
+        return window.keys()
 
     def add(self, cid: int, items: tuple[ItemId, ...]) -> None:
         """Add a transaction to a live cluster, or to a fresh one if ``cid``
         is ``next_id``."""
+        self.changes.append(cid)
         if cid not in self.stats:
             self.stats[cid] = (0, 0, 1, 0.0)
             self.next_id += 1
@@ -345,6 +420,7 @@ class _Placer:
         self._restat(cid, S + len(items), W, N1 + 1)
 
     def remove(self, cid: int, items: tuple[ItemId, ...]) -> None:
+        self.changes.append(cid)
         S, W, N1, _ = self.stats[cid]
         index = self.index
         for item in items:
@@ -368,11 +444,14 @@ class _Placer:
     def _restat(self, cid: int, S: int, W: int, N1: int) -> None:
         G = _gain(S, W, N1 - 1, self.r)
         self.stats[cid] = (S, W, N1, G)
-        delta = self._delta
+        pw = self.pw
         tops = self.tops
         for key, column in self.disjoint.items():
             s, p = key
-            d = delta(S + s, W + p, N1, G)
+            try:
+                d = (S + s) / pw[W + p] * N1 - G
+            except IndexError:
+                d = _gain(S + s, W + p, N1, self.r) - G
             top = tops[key]
             if top == cid:
                 if d < column[cid]:
@@ -425,29 +504,30 @@ def clope_cluster(
     assignment: list[int | None] = [None] * db.n
     profits: list[float] = []
     moves_per_pass: list[int] = []
+    placements: list[int] = []
     seconds: list[float] = []
+    # len(placer.changes) and the delta that won right after each one's
+    # last placement, unboxed
+    since = array("q", [-1]) * db.n
+    won = array("d", [0.0]) * db.n
 
-    last_move = db.n
     for pass_ in range(max_passes + 1):
         started = time.perf_counter()
         moves = 0
+        scored = placer.scored
         for tid, row in enumerate(rows):
-            # Past the last move, with none made since, each transaction would
-            # stay where its last placement left it.
-            if tid > last_move and not moves:
-                break
             home = assignment[tid]
-            cid = placer.best(row, home)
+            cid, won[tid] = placer.best(row, home, since[tid], won[tid])
             if cid is None:
                 cid = placer.next_id
-            if cid == home:
-                continue
-            if home is not None:
-                placer.remove(home, row)
-            placer.add(cid, row)
-            assignment[tid] = cid
-            last_move = tid
-            moves += 1
+            if cid != home:
+                if home is not None:
+                    placer.remove(home, row)
+                placer.add(cid, row)
+                assignment[tid] = cid
+                moves += 1
+            since[tid] = len(placer.changes)
+        placements.append(placer.scored - scored)
         profits.append(placer.profit(db.n))
         seconds.append(time.perf_counter() - started)
         if pass_:
@@ -472,6 +552,7 @@ def clope_cluster(
         profit_per_pass=profits,
         passes=len(moves_per_pass),
         moves_per_pass=moves_per_pass,
+        placements_per_pass=placements,
         hit_max_passes=moves_per_pass[-1] > 0,
         seconds_add=seconds[0],
         seconds_refine=sum(seconds[1:]),

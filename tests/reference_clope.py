@@ -92,6 +92,8 @@ def reference_cluster(db: TransactionDatabase, repulsion: float,
         profit_per_pass=profits,
         passes=len(moves_per_pass),
         moves_per_pass=moves_per_pass,
+        # every placement scores every cluster
+        placements_per_pass=[db.n] * len(profits),
         hit_max_passes=moves_per_pass[-1] > 0,
         seconds_add=0.0,
         seconds_refine=0.0,

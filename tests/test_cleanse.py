@@ -9,6 +9,7 @@ from conftest import letters_db, random_db
 from txcleanse import (
     Band,
     ManualBand,
+    TransactionDatabase,
     cleanse,
     database_from_items,
     fit_distribution,
@@ -16,7 +17,7 @@ from txcleanse import (
     fit_lognormal,
     item_frequencies,
 )
-from txcleanse.cleanse import log_likelihood
+from txcleanse.cleanse import log_likelihood, plan_cleanse
 
 E = math.e
 
@@ -218,6 +219,24 @@ class TestCleanse:
         other = item_frequencies(database_from_items([["a", "b", "c"]]))
         with pytest.raises(ValueError, match="item_frequencies"):
             cleanse(db, ManualBand(1, 2), other)
+
+    def test_item_no_row_holds_is_cut_as_low(self):
+        # "b" is an item string of db that no row holds: its frequency is 0
+        db = TransactionDatabase(("a", "b"), ((0,),), (None,))
+        hist = item_frequencies(db)
+        assert hist.per_item == {0: 1}
+        for given in (hist, None):
+            kept, report = plan_cleanse(db, ManualBand(1, 2), given)
+            assert kept == ["a", None]
+            assert report.id_map == {0: 0}
+            assert (report.items_removed_low, report.items_removed_high,
+                    report.items_retained) == (1, 0, 1)
+        cleansed, _ = cleanse(db, ManualBand(1, 2), hist)
+        assert (cleansed.strings, cleansed.rows) == (("a",), ((0,),))
+        # a histogram of the same size over other rows is still refused
+        other = item_frequencies(TransactionDatabase(("a", "b"), ((1,),), (None,)))
+        with pytest.raises(ValueError, match="item_frequencies"):
+            plan_cleanse(db, ManualBand(1, 2), other)
 
     def test_empty_database(self):
         cleansed, report = cleanse(database_from_items([]), ManualBand(1, 2))

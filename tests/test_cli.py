@@ -162,6 +162,9 @@ class TestClusterCommand:
             assert math.isfinite(seconds[stage]) and seconds[stage] >= 0
         assert len(report["moves_per_pass"]) == report["passes"]
         assert len(report["profit_per_pass"]) == report["passes"] + 1
+        placements = report["placements_per_pass"]
+        assert len(placements) == report["passes"] + 1 and placements[0] == 4
+        assert all(0 <= count <= 4 for count in placements)
 
     def test_empty_input(self, tmp_path):
         empty = tmp_path / "empty.tsv"

@@ -405,7 +405,7 @@ class TestKernelParity:
             placer.add(cid, member.items)
         summaries = placer.summaries()
         assert [delta_add(summaries[cid], t, 1.0) for cid in (0, 1)] == [1.0, 1.0]
-        assert placer.best(t.items) == best_home(summaries, t, 1.0) == 0
+        assert placer.best(t.items)[0] == best_home(summaries, t, 1.0) == 0
 
     @pytest.mark.parametrize("seed, r", [(5, 1.5), (6, 2.0), (7, 2.6)])
     def test_hub_heavy_synthetic(self, seed, r):
@@ -448,6 +448,12 @@ class TestKernelParity:
             for rows in (narrow, wide):
                 for max_passes in (1, 20):
                     _assert_matches_reference(database_from_items(rows), r, max_passes)
+
+
+def _delta_of(summaries, t, r, cid):
+    """The delta that cluster ``cid`` (None: a fresh one) offers ``t``."""
+    size = len(t.items)
+    return _gain(size, size, 1, r) if cid is None else delta_add(summaries[cid], t, r)
 
 
 def _assert_tops_are_first_maxima(placer):
@@ -517,18 +523,20 @@ class TestCachedMaxima:
             summaries = placer.summaries()
             probe = rng.choice(outside)
             opened = len(placer.disjoint)
-            cid = placer.best(probe.items)
+            cid, won = placer.best(probe.items)
             assert cid is None or cid in placer.stats
             assert cid == best_home(summaries, probe, r)
+            assert won == _delta_of(summaries, probe, r, cid)
             if len(placer.disjoint) > opened and removed:
                 seen["column opened after a removal"] += 1
             placed = [j for j, cid in enumerate(homes) if cid is not None]
             if placed:
                 j = rng.choice(placed)
                 summaries[homes[j]].remove(members[j])
-                cid = placer.best(members[j].items, homes[j])
+                cid, won = placer.best(members[j].items, homes[j])
                 assert cid is None or cid in placer.stats
                 assert cid == best_home(summaries, members[j], r, homes[j])
+                assert won == _delta_of(summaries, members[j], r, cid)
             _assert_tops_are_first_maxima(placer)
             for key, column in placer.disjoint.items():
                 top = placer.tops[key]
@@ -556,7 +564,7 @@ class TestCachedMaxima:
         for _ in range(2):
             # the first call opens the column and caches the home's id, the
             # second reads it
-            assert placer.best(t.items, 2) == want
+            assert placer.best(t.items, 2)[0] == want
             assert placer.tops == {(2, 2): 2}
             assert placer.disjoint == {(2, 2): column}
 
@@ -580,7 +588,7 @@ class TestFullRows:
         db = letters_db(*self._subsets())
         placer = _Placer(db.m, 1.5)
         for t in db.transactions:
-            assert placer.best(t.items) is None
+            assert placer.best(t.items)[0] is None
             assert best_home({}, t, 1.5) is None
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.6, 300.0])
@@ -594,12 +602,12 @@ class TestFullRows:
         assert len(placer.index[h]) == len(placer.stats) == 3
         assert sorted(placer.index[n]) == [0, 1]
         for t in db.transactions[len(members):]:
-            assert placer.best(t.items) == best_home(placer.summaries(), t, r)
+            assert placer.best(t.items)[0] == best_home(placer.summaries(), t, r)
             for home in sorted(self.MEMBERS):
                 placer.add(home, t.items)
                 summaries = placer.summaries()
                 summaries[home].remove(t)
-                assert placer.best(t.items, home) == best_home(summaries, t, r, home), (t, home)
+                assert placer.best(t.items, home)[0] == best_home(summaries, t, r, home), (t, home)
                 placer.remove(home, t.items)
                 _assert_tops_are_first_maxima(placer)
 
@@ -615,7 +623,7 @@ class TestFullRows:
         summaries = placer.summaries()
         deltas = [delta_add(summaries[cid], t, 0.5) for cid in (0, 1)]
         assert deltas[0] > deltas[1] > _gain(2, 2, 1, 0.5)
-        assert placer.best(t.items) == best_home(summaries, t, 0.5) == 0
+        assert placer.best(t.items)[0] == best_home(summaries, t, 0.5) == 0
         assert placer.disjoint[(2, 1)][0] == deltas[0]
         assert placer.tops[(2, 1)] == 0
 
@@ -631,39 +639,155 @@ class TestFullRows:
             placer.add(cid, member.items)
         summaries = placer.summaries()
         assert delta_add(summaries[ids[0]], t, 1.0) == delta_add(summaries[ids[1]], t, 1.0) > 1.0
-        assert placer.best(t.items) == best_home(summaries, t, 1.0) == 0
+        assert placer.best(t.items)[0] == best_home(summaries, t, 1.0) == 0
         # {h}'s entry is the top of column (3, 2)
         assert placer.tops[(3, 2)] == ids[0]
 
 
-class TestTailExit:
-    def test_pass_ends_after_its_last_move(self, monkeypatch):
-        # Pass 0, the add phase, places every transaction in tid order. Pass 1
-        # moves only tid 1. Pass 2 re-places tids 0 and 1 without a move;
-        # every later transaction stayed in pass 1 after the last move, and
-        # nothing has changed since, so the pass ends there.
-        db = letters_db("ce", "cfg", "eg", "bd", "d", "bd", "c", "a")
-        added, calls = [], []
+class TestChangedClustersOnly:
+    """A placement that knows t's last one, ``len(changes)`` and the delta
+    that won right after it, stays in O(1) when nothing has changed since;
+    otherwise, while the home offers at least that delta, it scores only the
+    clusters changed since, as every other one offers at most what it
+    offered then."""
+
+    @staticmethod
+    def _placed(placer, t):
+        # t's first placement, and what a later one knows of it
+        home, won = placer.best(t.items)
+        if home is None:
+            home = placer.next_id
+        placer.add(home, t.items)
+        return home, (len(placer.changes), won)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.6])
+    def test_each_placement_matches_a_full_scoring(self, r, monkeypatch):
+        # Every placement that scores fewer than all the clusters sharing a
+        # non-full row with t makes the choice, with the same delta, that a
+        # full scoring from the same state makes.
         best = _Placer.best
+        seen = Counter()
 
-        def recording_best(self, row, home=None):
-            cid = best(self, row, home)
-            if home is None:
-                added.append(row)
-            else:
-                calls.append((row, cid != home))
-            return cid
+        def checked_best(self, items, home=None, since=-1, won=0.0):
+            scored = self.scored
+            got = best(self, items, home, since, won)
+            if self.scored == scored:
+                kind = "unchanged" if since == len(self.changes) else "changed only"
+                assert best(self, items, home) == got
+                self.scored = scored
+                seen[kind, "moved" if got[0] != home else "kept"] += 1
+            return got
 
-        monkeypatch.setattr(_Placer, "best", recording_best)
+        monkeypatch.setattr(_Placer, "best", checked_best)
+        rng = random.Random(2400)
+        for _ in range(150):
+            db = random_db(rng, max_tx=rng.choice([20, 60]), max_vocab=rng.choice([6, 15, 30]),
+                           max_size=rng.choice([4, 8]))
+            _assert_matches_reference(db, r, 20)
+        assert {("unchanged", "kept"), ("changed only", "kept")} <= set(seen), seen
+        # at r=0.5 a database merges into a few wide clusters at once, and
+        # no refinement move here comes from a changed-only placement
+        assert (("changed only", "moved") in seen) == (r > 0.5), seen
+
+    def test_changed_cluster_in_a_non_full_row_takes_t(self):
+        # At r=1, t=agh joins {ae} (id 0) with delta 2.5 - 1 = 1.5 over {de}
+        # (1.0) and {ade} (1.4). Then g joins {de}, which now offers t
+        # 6/5*3 - 2 = 1.6 through row g, which holds only it: t moves, and
+        # only that changed cluster is scored.
+        db = letters_db("ae", "de", "ade", "agh", "g")
+        *members, t, g = db.transactions
+        placer = _Placer(db.m, 1.0)
+        for cid, member in enumerate(members):
+            placer.add(cid, member.items)
+        home, last = self._placed(placer, t)
+        assert (home, last[1]) == (0, 1.5)
+        placer.add(1, g.items)
+        scored = placer.scored
+        summaries = placer.summaries()
+        summaries[home].remove(t)
+        assert placer.best(t.items, home, *last) == (1, delta_add(summaries[1], t, 1.0))
+        assert best_home(summaries, t, 1.0, home) == 1
+        assert placer.scored == scored
+
+    def test_changed_disjoint_cluster_takes_t_through_its_column(self):
+        # At r=1, t=e offers 1.0 to every cluster and to a fresh one, and
+        # joins the lowest id, {fh}. Then df joins {af}, which shares no item
+        # with t but now offers it 5/4*3 - 8/3 > 1: the top of column (1, 1)
+        # takes t, and no cluster is scored one by one.
+        db = letters_db("fh", "af", "g", "e", "df")
+        *members, t, df = db.transactions
+        placer = _Placer(db.m, 1.0)
+        for cid, member in enumerate(members):
+            placer.add(cid, member.items)
+        home, last = self._placed(placer, t)
+        assert (home, last[1]) == (0, 1.0)
+        placer.add(1, df.items)
+        scored = placer.scored
+        summaries = placer.summaries()
+        summaries[home].remove(t)
+        want = delta_add(summaries[1], t, 1.0)
+        assert want > 1.0
+        assert placer.best(t.items, home, *last) == (1, want)
+        assert placer.tops[(1, 1)] == 1
+        assert best_home(summaries, t, 1.0, home) == 1
+        assert placer.scored == scored
+
+    def test_nothing_changed_keeps_t_without_reading_the_index(self):
+        db = letters_db("ab", "ab", "cd", "abc")
+        *members, t = db.transactions
+        placer = _Placer(db.m, 1.5)
+        for cid, member in zip((0, 0, 1), members):
+            placer.add(cid, member.items)
+        home, last = self._placed(placer, t)
+        placer.index = placer.stats = None
+        assert placer.best(t.items, home, *last) == (home, last[1])
+
+    def test_window_holds_the_clusters_changed_since(self):
+        # A pass reads ever later ``since``, and the window slides; an
+        # earlier one, as a caller outside a pass may pass, rebuilds it.
+        rng = random.Random(24)
+        db = random_db(rng, max_tx=40, max_vocab=12)
+        placer = _Placer(db.m, 1.5)
+        homes = {}
+        for _ in range(4):
+            for tid, t in enumerate(db.transactions):
+                if tid in homes and rng.random() < 0.5:
+                    placer.remove(homes.pop(tid), t.items)
+                elif tid not in homes:
+                    homes[tid] = rng.choice([*placer.stats, placer.next_id])
+                    placer.add(homes[tid], t.items)
+            ends = sorted(rng.sample(range(len(placer.changes) + 1), 8))
+            for since in ends + ends[::-1]:
+                assert set(placer._changed_since(since)) == set(placer.changes[since:])
+
+    def test_placements_per_pass_count_the_full_scorings(self):
+        # Pass 0 scores every transaction; pass 1 moves only tid 1, and in
+        # pass 2 each transaction after it stays in O(1).
+        db = letters_db("ce", "cfg", "eg", "bd", "d", "bd", "c", "a")
         result = clope_cluster(db, 1.5)
-        assert added == list(db.rows)
         assert result.moves_per_pass == [1, 0]
-        # pass 1 re-places every transaction in tid order
-        assert [row for row, _ in calls[:db.n]] == list(db.rows)
-        last_move = max(tid for tid, (_, moved) in enumerate(calls[:db.n]) if moved)
-        assert last_move == 1
-        assert calls[db.n:] == [(db.rows[tid], False) for tid in range(last_move + 1)]
-        _assert_matches_reference(db, 1.5, 20)
+        assert result.placements_per_pass[0] == db.n
+        assert len(result.placements_per_pass) == result.passes + 1
+        assert result.placements_per_pass[2] <= 2
+        assert reference_cluster(db, 1.5).placements_per_pass == [db.n] * 3
+
+
+@pytest.mark.slow
+def test_pipeline_5k_input_at_repulsion_2_6_digest():
+    # The benchmark's pipeline-5k input at seed 5 (its seed-1 input 0)
+    # clustered at the CLOPE paper's repulsion: k=323 over five passes. The
+    # digest of (assignment, moves_per_pass, hex profit_per_pass) was taken
+    # before placements scored only changed clusters.
+    spec = SyntheticSpec(transactions=5000, clusters=50, items_per_cluster=20,
+                         picks_per_transaction=10, noise_items_per_hit=1, noise_rate=0.30,
+                         ubiquitous_items=5, ubiquity=0.95, seed=5)
+    db, _ = generate_synthetic(spec)
+    result = clope_cluster(db, 2.6)
+    assert (result.k, result.moves_per_pass) == (323, [701, 96, 7, 1, 0])
+    outputs = [result.assignment, result.moves_per_pass,
+               [p.hex() for p in result.profit_per_pass]]
+    digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+    assert digest == "fb72b6595f673780210bb545247fd6f9ba20f25b050b99acee23f2233c1fa20d"
 
 
 class TestBruteForce:
