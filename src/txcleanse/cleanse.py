@@ -70,10 +70,14 @@ def item_frequencies(db: TransactionDatabase) -> FrequencyHistogram:
 Marginal = Union[FrequencyHistogram, Sequence[MarginalPair]]
 
 
-def _pairs(hist: Marginal) -> Sequence[MarginalPair]:
-    if isinstance(hist, FrequencyHistogram):
-        return hist.marginal
-    return list(hist)
+def _pairs(hist: Marginal) -> tuple[Sequence[MarginalPair], int]:
+    """The (frequency, count) pairs of ``hist`` and the items they count;
+    raises ValueError when they count none."""
+    pairs = hist.marginal if isinstance(hist, FrequencyHistogram) else list(hist)
+    n = sum(k for _, k in pairs)
+    if n == 0:
+        raise ValueError("no items to fit")
+    return pairs, n
 
 
 def _ordered_sum(terms: Iterable[float]) -> float:
@@ -92,10 +96,7 @@ def fit_lognormal(hist: Marginal) -> tuple[float, float]:
     Accepts a histogram or raw (frequency, count) pairs; a frequency carried
     by k items contributes k terms to both moments.
     """
-    pairs = _pairs(hist)
-    n = sum(k for _, k in pairs)
-    if n == 0:
-        raise ValueError("no items to fit")
+    pairs, n = _pairs(hist)
     mu = _ordered_sum(k * math.log(f) for f, k in pairs) / n
     var = _ordered_sum(k * (math.log(f) - mu) ** 2 for f, k in pairs) / n
     return mu, math.sqrt(var)
@@ -103,10 +104,7 @@ def fit_lognormal(hist: Marginal) -> tuple[float, float]:
 
 def fit_exponential(hist: Marginal) -> tuple[float, float]:
     """Exponential fit: rate = 1/mean(frequency), so mu_hat = sigma_hat = mean."""
-    pairs = _pairs(hist)
-    n = sum(k for _, k in pairs)
-    if n == 0:
-        raise ValueError("no items to fit")
+    pairs, n = _pairs(hist)
     mean = _ordered_sum(k * f for f, k in pairs) / n
     return mean, mean
 
@@ -248,7 +246,7 @@ def log_likelihood(hist: Marginal, kind: str) -> float | None:
     Distribution choice stays with the caller; this is reporting only.
     """
     check_kind(kind)
-    pairs = _pairs(hist)
+    pairs, _ = _pairs(hist)
     if kind == LOGNORMAL:
         mu, sigma = fit_lognormal(pairs)
         if sigma == 0.0:

@@ -39,20 +39,21 @@ The placer logs the id of the cluster each add and remove changes, and
 each transaction keeps the log's length and the delta that won right after
 its last placement. A cluster unchanged since offers the same delta as
 then, which was at most the winning one, and a fresh cluster's delta is
-constant. So if the log has not grown, the transaction stays in O(1); and
-while its home offers at least the delta that won, only the changed
-clusters that share a non-full row are scored, besides the column read.
-An unchanged home offers exactly that delta: a winning join ``(S+s) /
+constant. So if the log has not grown, the transaction stays in O(1). While
+its home offers at least the delta that won, no unchanged cluster can take
+it: an unchanged home offers exactly that delta (a winning join ``(S+s) /
 pw[W'] * (N+1) - G`` is bit for bit the home's later ``G' - _gain(S, W,
-N)``, and the home wins ties. A placement thus costs O(1) when nothing
-changed, O(s + sum over its non-full rows of min(row, changed clusters))
-while its home holds, and O(s + entries of its non-full rows) otherwise
-or when half the clusters changed; a pass adds O(changes) to slide the
-log's window, one delta per column for each cluster change, and O(ids
-added so far) for each rescan. Every delta is bit-identical to
-``delta_add``'s. The index, one row per item id, is the only occurrence
-map: ``Clustering.clusters`` is read off it once, and each pass's profit
-sums the gains G the placer keeps.
+N)``), and the home wins ties. Then, if the log grew by g < k entries (k
+the live clusters), only the clusters in the set of its last g ids that
+share a non-full row are scored, besides the column read; if it grew by k
+or more, every sharing cluster is, which is as exact and skips the sifting.
+A placement thus costs O(1) when nothing changed, O(s + g + sum over its
+non-full rows of min(row, g)) while its home holds and g < k, and O(s +
+entries of its non-full rows) otherwise; a pass adds one delta per column
+for each cluster change, and O(ids added so far) for each rescan. Every
+delta is bit-identical to ``delta_add``'s. The index, one row per item id,
+is the only occurrence map: ``Clustering.clusters`` is read off it once,
+and each pass's profit sums the gains G the placer keeps.
 ``delta_add``, ``ClusterSummary`` and ``profit`` stay as the oracles the
 tests compare the kernel against.
 """
@@ -251,9 +252,8 @@ class _Placer:
     ``changes`` logs the id of the cluster each ``add`` and ``remove``
     changes, so the clusters changed since a transaction's last placement
     are the ids in ``changes[since:]``, ``since`` the log's length then.
-    ``window`` counts the ids in ``changes[start:end]`` and slides forward
-    with ``since``. ``scored`` counts the placements that scored every
-    cluster sharing a non-full row.
+    ``scored`` counts the placements that scored every cluster sharing a
+    non-full row.
     """
 
     def __init__(self, m: int, repulsion: float) -> None:
@@ -266,8 +266,6 @@ class _Placer:
         self.tops: dict[tuple[int, int], int] = {}
         self.next_id = 0
         self.changes: list[int] = []
-        self.window: dict[int, int] = {}
-        self.start = self.end = 0
         self.scored = 0
 
     def _delta(self, occurrences: int, width: int, members: int, gain: float) -> float:
@@ -299,7 +297,7 @@ class _Placer:
         cluster unchanged since offers what it offered then, which was no
         more. If nothing has changed, t stays in O(1). Otherwise, while the
         home offers at least ``won``, no unchanged cluster can take t, and
-        only the changed ones are scored.
+        only the changed ones need scoring (see the module docstring).
         """
         if since == len(self.changes):
             return home, won
@@ -324,11 +322,12 @@ class _Placer:
         if since < 0:
             self.scored += 1
             shared = partial
+        elif len(self.changes) - since < k:
+            changed = set(self.changes[since:])
+            shared = [row.keys() & changed for row in partial]
         else:
-            changed = self._changed_since(since)
-            # Scoring an unchanged cluster too is exact; once half the
-            # clusters changed, it costs less than sifting the rows.
-            shared = [row.keys() & changed for row in partial] if 2 * len(changed) < k else partial
+            # a log tail of k or more ids: sifting would save little
+            shared = partial
         # overlaps in the non-full rows, for the clusters to score
         ov: dict[int, int] = {}
         _count_elements(ov, itertools.chain.from_iterable(shared))
@@ -377,27 +376,6 @@ class _Placer:
         if fresh > best:
             return None, fresh
         return best_cid, best
-
-    def _changed_since(self, since: int):
-        """The ids in ``changes[since:]``, the clusters changed since.
-
-        A pass's placements read ever later ``since``, so the window slides
-        on in O(changes passed); an earlier ``since`` rebuilds it.
-        """
-        changes, window = self.changes, self.window
-        if since < self.start:
-            window.clear()
-            self.start = self.end = since
-        _count_elements(window, changes[self.end:])
-        self.end = len(changes)
-        for cid in changes[self.start:since]:
-            count = window[cid]
-            if count == 1:
-                del window[cid]
-            else:
-                window[cid] = count - 1
-        self.start = since
-        return window.keys()
 
     def add(self, cid: int, items: tuple[ItemId, ...]) -> None:
         """Add a transaction to a live cluster, or to a fresh one if ``cid``

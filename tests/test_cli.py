@@ -658,6 +658,14 @@ def test_config_validation_rejects_non_finite_values(tmp_path):
             config.validate()
 
 
+def test_unknown_format_is_refused_by_the_config_and_the_loader(noise1_file):
+    config = PipelineConfig(input_path=str(noise1_file), fmt="csv")
+    with pytest.raises(ParseError, match="unknown format 'csv'"):
+        config.validate()
+    with pytest.raises(ParseError, match="unknown format 'csv'"):
+        load_database(noise1_file, "csv")
+
+
 @pytest.mark.parametrize("flags", [
     ["--dist", "lognormal"], ["--dist", "lognormal", "--raw-band"], ["--dist", "exponential"],
 ], ids=["lognormal", "raw-band", "exponential"])

@@ -664,18 +664,24 @@ class TestChangedClustersOnly:
     def test_each_placement_matches_a_full_scoring(self, r, monkeypatch):
         # Every placement that scores fewer than all the clusters sharing a
         # non-full row with t makes the choice, with the same delta, that a
-        # full scoring from the same state makes.
+        # full scoring from the same state makes. Of the changed-only ones,
+        # those whose log grew by fewer than k entries sift the rows for the
+        # changed clusters; the others score every sharing cluster.
         best = _Placer.best
         seen = Counter()
+        branches = Counter()
 
         def checked_best(self, items, home=None, since=-1, won=0.0):
             scored = self.scored
+            sifts = len(self.changes) - since < len(self.stats)
             got = best(self, items, home, since, won)
             if self.scored == scored:
                 kind = "unchanged" if since == len(self.changes) else "changed only"
                 assert best(self, items, home) == got
                 self.scored = scored
                 seen[kind, "moved" if got[0] != home else "kept"] += 1
+                if kind == "changed only":
+                    branches["sifted" if sifts else "every sharing"] += 1
             return got
 
         monkeypatch.setattr(_Placer, "best", checked_best)
@@ -688,6 +694,8 @@ class TestChangedClustersOnly:
         # at r=0.5 a database merges into a few wide clusters at once, and
         # no refinement move here comes from a changed-only placement
         assert (("changed only", "moved") in seen) == (r > 0.5), seen
+        if r > 1.0:
+            assert set(branches) == {"sifted", "every sharing"}, branches
 
     def test_changed_cluster_in_a_non_full_row_takes_t(self):
         # At r=1, t=agh joins {ae} (id 0) with delta 2.5 - 1 = 1.5 over {de}
@@ -741,24 +749,6 @@ class TestChangedClustersOnly:
         home, last = self._placed(placer, t)
         placer.index = placer.stats = None
         assert placer.best(t.items, home, *last) == (home, last[1])
-
-    def test_window_holds_the_clusters_changed_since(self):
-        # A pass reads ever later ``since``, and the window slides; an
-        # earlier one, as a caller outside a pass may pass, rebuilds it.
-        rng = random.Random(24)
-        db = random_db(rng, max_tx=40, max_vocab=12)
-        placer = _Placer(db.m, 1.5)
-        homes = {}
-        for _ in range(4):
-            for tid, t in enumerate(db.transactions):
-                if tid in homes and rng.random() < 0.5:
-                    placer.remove(homes.pop(tid), t.items)
-                elif tid not in homes:
-                    homes[tid] = rng.choice([*placer.stats, placer.next_id])
-                    placer.add(homes[tid], t.items)
-            ends = sorted(rng.sample(range(len(placer.changes) + 1), 8))
-            for since in ends + ends[::-1]:
-                assert set(placer._changed_since(since)) == set(placer.changes[since:])
 
     def test_placements_per_pass_count_the_full_scorings(self):
         # Pass 0 scores every transaction; pass 1 moves only tid 1, and in
@@ -831,3 +821,9 @@ def test_non_positive_or_non_finite_repulsion_rejected(r):
         profit([ClusterSummary.from_transactions(db.transactions)], r)
     with pytest.raises(ValueError, match="repulsion"):
         recompute_profit(db, [0, 0], r)
+
+
+@pytest.mark.parametrize("assignment", [[0], [0, 0, 1]], ids=["short", "long"])
+def test_recompute_profit_refuses_an_assignment_of_another_length(assignment):
+    with pytest.raises(ValueError, match="assignment must cover every transaction"):
+        recompute_profit(letters_db("ab", "bc"), assignment, 1.5)

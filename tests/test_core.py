@@ -167,6 +167,13 @@ class TestDatabaseBuilder:
         assert db.strings == ("a", "b", "c")
         assert [t.items for t in db] == [(0,), (0, 1, 2)]
 
+    def test_any_iterable_of_items_builds_the_same_database(self):
+        item_lists = [["b", "a"], ["c", " A "], ["b"]]
+        want = database_from_items(item_lists)
+        for got in (database_from_items(map(tuple, item_lists)),
+                    database_from_items((item for item in items) for items in item_lists)):
+            assert (got.strings, got.rows, got.labels) == (want.strings, want.rows, want.labels)
+
     def test_duplicates_within_transaction_dropped(self):
         db = database_from_items([["a", "a", "b"]])
         assert [len(t) for t in db] == [2]

@@ -316,16 +316,22 @@ class TestIterQueryLog:
 
     def test_warnings_interleave_with_the_records(self):
         events = []
-        rows = [AOL_HEADER, "1\tq\tt\t\t", "2\tr\tt", "3\ts\tt\t4\t", "\tu\tt\t\t"]
+        clicks = []
+        rows = [AOL_HEADER, "1\tq\tt\t\t", "2\tr\tt", "3\ts\tt\t4\t", "\tu\tt\t\t",
+                "4\tv\tt\tx\thttp://v"]
         for record in iter_query_log(rows, on_warning=events.append):
             events.append(record.anon_id)
+            clicks.append((record.item_rank, record.click_url))
         assert events == [
             "1",
             "line 3: expected 5 fields, got 3; row skipped",
             "line 4: ItemRank/ClickURL must appear together; click pair dropped",
             "3",
             "line 5: empty AnonID or Query; row skipped",
+            "line 6: non-integer ItemRank 'x'; click pair dropped",
+            "4",
         ]
+        assert clicks == [(None, None)] * 3
 
 
 def _record(user, query):
