@@ -55,9 +55,9 @@ class EmptyInputError(ValueError):
 class PipelineConfig:
     """Knobs of one experiment run; mirrors the report's config stanza.
 
-    Every data subcommand reads its parameters through this class, and
-    ``validate`` checks them all with the checks of the modules that take
-    them.
+    Every data subcommand reads its parameters through this class and takes
+    its options' defaults from its fields, and ``validate`` checks them all
+    with the checks of the modules that take them.
     """
 
     input_path: str
@@ -91,20 +91,11 @@ class PipelineConfig:
             raise ParseError(str(exc)) from None
 
     def to_json_dict(self) -> dict:
-        return {
-            "input": self.input_path,
-            "format": self.fmt,
-            "delimiter": self.delimiter,
-            "distribution": self.distribution,
-            "s": self.s,
-            "repulsion": self.repulsion,
-            "max_passes": self.max_passes,
-            "limit": self.limit,
-            "seed": self.seed,
-            "raw_band": self.raw_band,
-            "manual_lower": self.manual_lower,
-            "manual_upper": self.manual_upper,
-        }
+        """The report's config stanza: every field but ``out_dir``, in field
+        order, with ``input_path`` and ``fmt`` under ``input`` and ``format``."""
+        keys = {"input_path": "input", "fmt": "format"}
+        return {keys.get(f.name, f.name): getattr(self, f.name)
+                for f in dataclasses.fields(self) if f.name != "out_dir"}
 
 
 def load_database(path: str | Path, fmt: str, delimiter: str = "\t",
@@ -127,6 +118,8 @@ def _band_from_config(db: TransactionDatabase,
                       config: PipelineConfig) -> tuple[Band, FrequencyHistogram]:
     """The band to cleanse ``db`` with, and ``item_frequencies(db)``, which
     the fit reads and ``cleanse`` takes, counted once for both."""
+    if db.m == 0:
+        raise EmptyInputError("no items to fit")
     hist = item_frequencies(db)
     if config.manual_lower is None and config.manual_upper is None:
         band = fit_distribution(hist, config.distribution, config.s, raw_band=config.raw_band)
@@ -252,8 +245,6 @@ def cmd_stats(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_fit(config: PipelineConfig, args: argparse.Namespace) -> int:
     db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
-    if db.m == 0:
-        raise EmptyInputError("no items to fit")
     fit, hist = _band_from_config(db, config)
     verdicts = Counter(fit.classify(f) for f in hist.per_item.values())
     payload = {
@@ -272,8 +263,6 @@ def cmd_fit(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_cleanse(config: PipelineConfig, args: argparse.Namespace) -> int:
     db = load_database(config.input_path, config.fmt, config.delimiter, config.limit)
-    if db.m == 0:
-        raise EmptyInputError("no items to fit")
     band, hist = _band_from_config(db, config)
     kept, report = cleanse_database(db, band, hist)
     if report.transactions_retained == 0:
@@ -370,102 +359,102 @@ def _delimiter(text: str) -> str:
     return "\t" if text in ("\\t", "TAB", "tab") else text
 
 
+def _defaults(cls: type) -> dict:
+    """The field defaults of a parameter dataclass, which the parser's
+    options take: each default is written once, on its field."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input_path", metavar="input", help="input file path")
-    sub.add_argument("--format", dest="fmt", choices=FORMATS, default="generic",
-                     help="input layout (default: generic)")
-    sub.add_argument("--delimiter", type=_delimiter, default="\t",
+    sub.add_argument("--format", dest="fmt", choices=FORMATS,
+                     help="input layout (default: %(default)s)")
+    sub.add_argument("--delimiter", type=_delimiter,
                      help="item delimiter for generic input (default: TAB)")
-    sub.add_argument("--limit", type=int, default=None,
-                     help="keep only the first N transactions, N >= 1")
-    sub.add_argument("--out-dir", type=Path, default=".", help="directory for output files")
+    sub.add_argument("--limit", type=int, help="keep only the first N transactions, N >= 1")
+    sub.add_argument("--out-dir", type=Path, help="directory for output files")
 
 
 def _add_fit_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dist", dest="distribution", choices=KINDS, default=LOGNORMAL,
-                     help="distribution to fit (default: lognormal)")
-    sub.add_argument("--s", type=float, default=5.0,
+    sub.add_argument("--dist", dest="distribution", choices=KINDS,
+                     help="distribution to fit (default: %(default)s)")
+    sub.add_argument("--s", type=float,
                      help="band half-width in standard deviations, finite and > 0 "
-                          "(default: 5.0)")
+                          "(default: %(default)s)")
     sub.add_argument("--raw-band", action="store_true",
                      help="apply the lognormal band to raw frequencies instead of log space")
 
 
 def _add_band_override(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--lower", dest="manual_lower", metavar="LOWER", type=float, default=None,
+    sub.add_argument("--lower", dest="manual_lower", metavar="LOWER", type=float,
                      help="manual band: lowest retained frequency, finite and "
                           "<= --upper (with --upper)")
-    sub.add_argument("--upper", dest="manual_upper", metavar="UPPER", type=float, default=None,
+    sub.add_argument("--upper", dest="manual_upper", metavar="UPPER", type=float,
                      help="manual band: highest retained frequency, may be inf "
                           "(with --lower)")
 
 
 def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--repulsion", type=float, default=1.5,
-                     help="cluster tightness parameter r, finite and > 0 (default: 1.5)")
-    sub.add_argument("--max-passes", type=int, default=20,
-                     help="refinement pass cap, >= 1 (default: 20)")
+    sub.add_argument("--repulsion", type=float,
+                     help="cluster tightness parameter r, finite and > 0 (default: %(default)s)")
+    sub.add_argument("--max-passes", type=int,
+                     help="refinement pass cap, >= 1 (default: %(default)s)")
+
+
+def _add_seed_option(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=int,
+                     help="recorded in the report for reproducibility bookkeeping")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: ``parse_args`` leaves it
     unchanged, and each build would leave a few hundred objects of cyclic
-    garbage behind."""
+    garbage behind. Each option's destination names the field it fills,
+    and its default is that field's: SyntheticSpec's for ``synth``'s
+    generator options, PipelineConfig's for every other option."""
     parser = argparse.ArgumentParser(
         prog="txcleanse",
         description="Frequency-band cleansing and profit-driven clustering "
                     "for transaction databases.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("stats", help="item-frequency histogram and summary")
-    _add_input_options(sub)
-    sub.set_defaults(func=cmd_stats)
-
-    sub = commands.add_parser("fit", help="fit a distribution and report the band")
-    _add_input_options(sub)
-    _add_fit_options(sub)
-    sub.set_defaults(func=cmd_fit)
-
-    sub = commands.add_parser("cleanse", help="remove out-of-band items and empty transactions")
-    _add_input_options(sub)
-    _add_fit_options(sub)
-    _add_band_override(sub)
-    sub.set_defaults(func=cmd_cleanse)
-
-    sub = commands.add_parser("cluster", help="cluster the input as-is")
-    _add_input_options(sub)
-    _add_cluster_options(sub)
-    sub.set_defaults(func=cmd_cluster)
-
-    sub = commands.add_parser("pipeline", help="cleansed-vs-raw comparison harness")
-    _add_input_options(sub)
-    _add_fit_options(sub)
-    _add_band_override(sub)
-    _add_cluster_options(sub)
-    sub.add_argument("--seed", type=int, default=None,
-                     help="recorded in the report for reproducibility bookkeeping")
-    sub.set_defaults(func=cmd_pipeline)
+    config = _defaults(PipelineConfig)
+    for name, help_text, func, add_options in (
+        ("stats", "item-frequency histogram and summary", cmd_stats, ()),
+        ("fit", "fit a distribution and report the band", cmd_fit, (_add_fit_options,)),
+        ("cleanse", "remove out-of-band items and empty transactions", cmd_cleanse,
+         (_add_fit_options, _add_band_override)),
+        ("cluster", "cluster the input as-is", cmd_cluster, (_add_cluster_options,)),
+        ("pipeline", "cleansed-vs-raw comparison harness", cmd_pipeline,
+         (_add_fit_options, _add_band_override, _add_cluster_options, _add_seed_option)),
+    ):
+        sub = commands.add_parser(name, help=help_text)
+        _add_input_options(sub)
+        for add in add_options:
+            add(sub)
+        sub.set_defaults(func=func, **config)
 
     sub = commands.add_parser("synth", help="generate a labeled synthetic database")
-    sub.add_argument("--transactions", type=int, default=5000)
-    sub.add_argument("--clusters", type=int, default=50)
-    sub.add_argument("--items-per-cluster", type=int, default=20)
+    sub.add_argument("--transactions", type=int)
+    sub.add_argument("--clusters", type=int)
+    sub.add_argument("--items-per-cluster", type=int)
     sub.add_argument("--picks", dest="picks_per_transaction", metavar="PICKS", type=int,
-                     default=10, help="core items sampled per transaction")
-    sub.add_argument("--noise-rate", type=float, default=0.3,
+                     help="core items sampled per transaction")
+    sub.add_argument("--noise-rate", type=float,
                      help="fraction of transactions receiving one-off junk items")
     sub.add_argument("--noise-items", dest="noise_items_per_hit", metavar="NOISE_ITEMS",
-                     type=int, default=1, help="junk items injected per noisy transaction")
+                     type=int, help="junk items injected per noisy transaction")
     sub.add_argument("--ubiquitous", dest="ubiquitous_items", metavar="UBIQUITOUS",
-                     type=int, default=5, help="count of near-ubiquitous items")
-    sub.add_argument("--ubiquity", type=float, default=0.95,
+                     type=int, help="count of near-ubiquitous items")
+    sub.add_argument("--ubiquity", type=float,
                      help="probability each ubiquitous item joins a transaction")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--delimiter", type=_delimiter, default="\t")
-    sub.add_argument("--out-dir", type=Path, default=".")
-    sub.set_defaults(func=cmd_synth)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--delimiter", type=_delimiter)
+    sub.add_argument("--out-dir", type=Path)
+    sub.set_defaults(func=cmd_synth, **_defaults(synth.SyntheticSpec),
+                     delimiter=config["delimiter"], out_dir=config["out_dir"])
 
     return parser
 

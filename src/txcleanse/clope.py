@@ -191,8 +191,11 @@ class Clustering:
     member tid); ``profit_per_pass`` starts with the add-phase profit and
     appends one value per refinement pass; ``profit`` is its last entry.
     ``placements_per_pass[i]`` counts the placements of pass i that scored
-    every cluster sharing an item with the transaction (all n in pass 0);
-    the others scored only the clusters changed since its last placement.
+    every cluster sharing an item with the transaction because it had no
+    earlier placement (all n in pass 0) or its home's delta fell below the
+    one that won it. A placement whose change log grew by k or more entries
+    since its last one also scores every such cluster but is not counted;
+    the others scored only the clusters changed since, or none.
     """
 
     assignment: list[int]
@@ -253,7 +256,9 @@ class _Placer:
     changes, so the clusters changed since a transaction's last placement
     are the ids in ``changes[since:]``, ``since`` the log's length then.
     ``scored`` counts the placements that scored every cluster sharing a
-    non-full row.
+    non-full row because t had no earlier placement or its home offers less
+    than ``won``; one whose log grew by k or more entries scores them all
+    too, but is not counted.
     """
 
     def __init__(self, m: int, repulsion: float) -> None:
@@ -561,9 +566,7 @@ def recompute_profit(
 
 def _partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All set partitions of range(n) as restricted-growth strings, in
-    lexicographic order (labels numbered by first appearance)."""
-    if n == 0:
-        return
+    lexicographic order (labels numbered by first appearance), for n >= 1."""
     labels = [0] * n
 
     def extend(position: int, max_label: int) -> Iterator[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 import collections.abc
 import contextlib
+import dataclasses
 import gc
 import importlib
 import io
@@ -7,6 +8,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -20,8 +23,8 @@ from hypothesis import strategies as st
 from conftest import check_pipeline_reports
 from txcleanse import (ManualBand, ParseError, SyntheticSpec, cleanse, generate_synthetic, ingest,
                        parse_transactions, serialize_transactions)
-from txcleanse.cli import (build_parser, load_database, load_report_schema, main, run_pipeline,
-                           PipelineConfig)
+from txcleanse.cli import (_params_from_args, build_parser, load_database, load_report_schema,
+                           main, run_pipeline, PipelineConfig)
 
 FIG1 = (
     "amusement park\tcherry blossom\tmall of america\tentrance fee\tdisneyland\n"
@@ -680,6 +683,67 @@ def test_fit_stdout_lists_band_then_counts(noise1_file, capsys, flags):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("command", ["stats", "fit", "cleanse", "cluster", "pipeline"])
+def test_data_subcommand_defaults_are_the_config_defaults(command):
+    args = build_parser().parse_args([command, "in.tsv"])
+    assert _params_from_args(args) == PipelineConfig(input_path="in.tsv")
+
+
+def test_synth_defaults_are_the_spec_defaults():
+    assert _params_from_args(build_parser().parse_args(["synth"])) == SyntheticSpec()
+
+
+def test_config_stanza_holds_every_field_but_out_dir_in_schema_order():
+    config = PipelineConfig(
+        input_path="in.tsv", fmt="aol", delimiter=",", distribution="exponential", s=2.5,
+        repulsion=2.6, max_passes=3, limit=7, seed=11, out_dir=Path("elsewhere"),
+        raw_band=True, manual_lower=1.0, manual_upper=9.0,
+    )
+    defaults = PipelineConfig(input_path="")
+    assert all(getattr(config, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(PipelineConfig))
+    stanza = config.to_json_dict()
+    assert list(stanza) == load_report_schema()["properties"]["config"]["required"]
+    fields = {"input": "input_path", "format": "fmt"}
+    assert stanza == {key: getattr(config, fields.get(key, key)) for key in stanza}
+    assert "out_dir" not in stanza
+
+
+# What each subcommand writes into its --out-dir.
+WRITES = {
+    "synth": {"synthetic.tsv", "labels.csv"},
+    "stats": {"histogram.csv"},
+    "fit": set(),
+    "cleanse": {"cleansed.tsv", "cleanse_report.json"},
+    "cluster": {"assignment.csv", "cluster_report.json"},
+    "pipeline": {"assignment_cleansed.csv", "assignment_raw.csv", "pipeline_report.json"},
+}
+
+
+def _readme_cli_block() -> list[str]:
+    """The commands of the README's ``## CLI`` sh block, one line each."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_block()
+    assert {shlex.split(line)[1] for line in commands} == set(WRITES)
+    for line in commands:
+        program, command, *argv = shlex.split(line, comments=True)
+        assert program == "txcleanse"
+        # a file the line's comment names is one the command writes
+        named = re.findall(r"[\w.]+\.(?:csv|tsv|json)", line.partition("#")[2])
+        assert set(named) <= WRITES[command], line
+        assert _exit_code([command, *argv]) == 0, (line, capsys.readouterr().err)
+        out_dir = Path(argv[argv.index("--out-dir") + 1]) if "--out-dir" in argv else Path()
+        for name in WRITES[command]:
+            assert (out_dir / name).is_file(), (line, name)
 
 
 def test_calls_in_one_process_match_fresh_processes(noise1_file, tmp_path, capsys):

@@ -13,6 +13,7 @@ from conftest import letters_db, random_db
 from txcleanse import (
     ClusterSummary,
     SyntheticSpec,
+    Transaction,
     TransactionDatabase,
     brute_force_best,
     clope_cluster,
@@ -304,6 +305,7 @@ def _assert_matches_reference(db, r, max_passes):
     for cid, summary in result.clusters.items():
         members = [db.transactions[tid] for tid in result.members_of(cid)]
         assert summary == ClusterSummary.from_transactions(members)
+    return result
 
 
 class TestKernelParity:
@@ -660,28 +662,46 @@ class TestChangedClustersOnly:
         placer.add(home, t.items)
         return home, (len(placer.changes), won)
 
+    @staticmethod
+    def _home_delta(placer, items, home):
+        # what the home offers t, whose row is items, with t taken out of it
+        summary = placer.summaries()[home]
+        t = Transaction(0, items)
+        summary.remove(t)
+        return delta_add(summary, t, placer.r)
+
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.6])
     def test_each_placement_matches_a_full_scoring(self, r, monkeypatch):
         # Every placement that scores fewer than all the clusters sharing a
         # non-full row with t makes the choice, with the same delta, that a
         # full scoring from the same state makes. Of the changed-only ones,
         # those whose log grew by fewer than k entries sift the rows for the
-        # changed clusters; the others score every sharing cluster.
+        # changed clusters; the others score every sharing cluster, yet are
+        # not counted: placements_per_pass counts exactly the placements
+        # with no earlier one or whose home's delta fell below won.
         best = _Placer.best
         seen = Counter()
         branches = Counter()
 
-        def checked_best(self, items, home=None, since=-1, won=0.0):
-            scored = self.scored
-            sifts = len(self.changes) - since < len(self.stats)
-            got = best(self, items, home, since, won)
-            if self.scored == scored:
-                kind = "unchanged" if since == len(self.changes) else "changed only"
-                assert best(self, items, home) == got
-                self.scored = scored
+        def checked_best(placer, items, home=None, since=-1, won=0.0):
+            scored = placer.scored
+            logged = len(placer.changes)
+            if since == logged:
+                branch = "unchanged"
+            elif since < 0 or self._home_delta(placer, items, home) < won:
+                branch = "full"
+            elif logged - since < len(placer.stats):
+                branch = "sifted"
+            else:
+                branch = "every sharing"
+            branches[branch] += 1
+            got = best(placer, items, home, since, won)
+            assert placer.scored - scored == (branch == "full"), branch
+            if branch != "full":
+                assert best(placer, items, home) == got
+                placer.scored = scored
+                kind = "unchanged" if branch == "unchanged" else "changed only"
                 seen[kind, "moved" if got[0] != home else "kept"] += 1
-                if kind == "changed only":
-                    branches["sifted" if sifts else "every sharing"] += 1
             return got
 
         monkeypatch.setattr(_Placer, "best", checked_best)
@@ -689,13 +709,18 @@ class TestChangedClustersOnly:
         for _ in range(150):
             db = random_db(rng, max_tx=rng.choice([20, 60]), max_vocab=rng.choice([6, 15, 30]),
                            max_size=rng.choice([4, 8]))
-            _assert_matches_reference(db, r, 20)
+            full = branches["full"]
+            result = _assert_matches_reference(db, r, 20)
+            assert sum(result.placements_per_pass) == branches["full"] - full
         assert {("unchanged", "kept"), ("changed only", "kept")} <= set(seen), seen
         # at r=0.5 a database merges into a few wide clusters at once, and
         # no refinement move here comes from a changed-only placement
         assert (("changed only", "moved") in seen) == (r > 0.5), seen
+        # the unsifted branch, which the checks above found uncounted, occurs
+        # at every r
+        assert branches["every sharing"], branches
         if r > 1.0:
-            assert set(branches) == {"sifted", "every sharing"}, branches
+            assert branches["sifted"], branches
 
     def test_changed_cluster_in_a_non_full_row_takes_t(self):
         # At r=1, t=agh joins {ae} (id 0) with delta 2.5 - 1 = 1.5 over {de}
