@@ -22,17 +22,22 @@ Placement does not call ``delta_add`` per cluster. An inverted index
 ``item -> {cluster: count}`` gives the clusters that share an item with the
 transaction and their overlaps, and ``pw[w] == w**r`` is a table over widths
 up to the item count (a width whose power overflows takes ``_gain``'s
-exp/log path). An index row holds only live clusters, so one that holds all
-k of them (a near-ubiquitous item's, say) is full and adds 1 to every
-overlap. A cluster that meets a transaction of size s only in its full rows
-offers a delta that depends only on s and the width p it adds, s less the
-number of full rows; those deltas are kept per (s, p) in a column indexed
-by cluster id once a placement needs them, and each column's maximum is
-cached and kept up to date as clusters change. So a placement scores one by
-one only the clusters that share one of its non-full rows, as ``(S+s) /
-pw[W+p-overlap] * (N+1) - G`` with G the cluster's current gain, and reads
-all others through one column maximum, rescanned only when the cached one
-fell or left.
+exp/log path). An index row holds only live clusters; one that holds more
+than half of the k of them (a near-ubiquitous item's, say) is dense, and
+the others are sparse. A cluster that meets a transaction of size s in each
+of its dense rows and in none of its q sparse ones offers a delta that
+depends only on s and the width q it adds; those deltas are kept per (s, q)
+in a column indexed by cluster id once a placement needs them, and each
+column's maximum is cached and kept up to date as clusters change. So a
+placement scores one by one only the clusters that meet one of its sparse
+rows or miss one of its dense rows, as ``(S+s) / pw[W+q-o] * (N+1) - G``
+with G the cluster's current gain and o its overlap with the sparse rows
+less the dense rows it misses, and reads all others through one column
+maximum. The clusters a dense row misses are kept up to date, so it costs
+what it misses, not what it holds; a full row misses none. A cluster that
+misses a dense row may have a column entry above its delta, so those
+clusters are held out of the column maximum with the home. A placement
+rescans the column when the cached maximum fell or left, or is held out.
 
 A placement re-scores only what changed since the transaction's last one.
 The placer logs the id of the cluster each add and remove changes, and
@@ -45,17 +50,19 @@ it: an unchanged home offers exactly that delta (a winning join ``(S+s) /
 pw[W'] * (N+1) - G`` is bit for bit the home's later ``G' - _gain(S, W,
 N)``), and the home wins ties. Then, if the log grew by g < k entries (k
 the live clusters), only the clusters in the set of its last g ids that
-share a non-full row are scored, besides the column read; if it grew by k
-or more, every sharing cluster is, which is as exact and skips the sifting.
-A placement thus costs O(1) when nothing changed, O(s + g + sum over its
-non-full rows of min(row, g)) while its home holds and g < k, and O(s +
-entries of its non-full rows) otherwise; a pass adds one delta per column
-for each cluster change, and O(ids added so far) for each rescan. Every
-delta is bit-identical to ``delta_add``'s. The index, one row per item id,
-is the only occurrence map: ``Clustering.clusters`` is read off it once,
-and each pass's profit sums the gains G the placer keeps.
-``delta_add``, ``ClusterSummary`` and ``profit`` stay as the oracles the
-tests compare the kernel against.
+meet a sparse row or miss a dense row are scored, besides the column
+read; if it grew by k or more, every such cluster is, which is as exact and
+skips the sifting. A placement thus costs O(1) when nothing changed, O(s +
+g + sum over its sparse rows of min(row, g) + misses of its dense rows)
+while its home holds and g < k, and O(s + entries of its sparse rows +
+misses of its dense rows) otherwise, plus O(ids added so far) when it
+rescans a column; a pass adds one delta per column for each cluster change,
+and one set update per kept dense row for each cluster that joins or leaves
+it, is born or dies. Every delta is bit-identical to ``delta_add``'s. The
+index, one row per item id, is the only occurrence map:
+``Clustering.clusters`` is read off it once, and each pass's profit sums
+the gains G the placer keeps. ``delta_add``, ``ClusterSummary`` and
+``profit`` stay as the oracles the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -72,6 +79,10 @@ from .core import ItemId, Transaction, TransactionDatabase
 
 # Relative slack for float comparisons of recomputed profits.
 PROFIT_RTOL = 1e-9
+
+# An index row holding more than k >> _DENSE_SHIFT of the k live clusters
+# is dense: placement reads it by the clusters it misses.
+_DENSE_SHIFT = 1
 
 
 # The range checks of CLOPE's parameters; the CLI validates with them.
@@ -191,11 +202,12 @@ class Clustering:
     member tid); ``profit_per_pass`` starts with the add-phase profit and
     appends one value per refinement pass; ``profit`` is its last entry.
     ``placements_per_pass[i]`` counts the placements of pass i that scored
-    every cluster sharing an item with the transaction because it had no
-    earlier placement (all n in pass 0) or its home's delta fell below the
-    one that won it. A placement whose change log grew by k or more entries
-    since its last one also scores every such cluster but is not counted;
-    the others scored only the clusters changed since, or none.
+    every cluster meeting one of the transaction's sparse index rows or
+    missing one of its dense ones because it had no earlier placement (all
+    n in pass 0) or its home's delta fell below the one that won it. A
+    placement whose change log grew by k or more entries since its last one
+    also scores every such cluster but is not counted; the others scored
+    only the clusters changed since, or none.
     """
 
     assignment: list[int]
@@ -235,18 +247,23 @@ class _Placer:
     ``summaries()`` reads ClusterSummary objects off it. ``stats[cid]`` is
     ``(S, W, N + 1, G)`` of each live cluster in ascending id, G its current
     gain, which ``profit()`` sums. A row holds only live clusters, since a
-    cluster leaves a row when its count there reaches 0, so a row of
-    ``len(stats)`` entries is full: it holds every cluster.
+    cluster leaves a row when its count there reaches 0. A row of more than
+    ``len(stats) >> _DENSE_SHIFT`` entries is dense, and ``missing[item]``
+    is the set of live clusters that dense row ``index[item]`` lacks, kept
+    from the first placement that reads the row on: ``add`` and ``remove``
+    update it where the row gains or loses a cluster and on a cluster's
+    birth and death, and drop it once the row is no longer dense.
 
-    A transaction t of size s with s - p full rows adds p to the width of a
-    cluster that shares none of its other items, which thus offers ``(S+s)
-    / pw[W+p] * (N+1) - G``. So ``disjoint[(s, p)][cid]`` keeps that delta
-    for every live cluster, from the first placement that reads the column
-    on, refreshed whenever the cluster changes, and its maximum replaces
-    scoring those clusters one by one. A fresh cluster takes the id
+    A transaction t of size s with q sparse rows adds q to the width of a
+    cluster that meets each of its dense rows and none of its sparse ones,
+    which thus offers ``(S+s) / pw[W+q] * (N+1) - G``. So
+    ``disjoint[(s, q)][cid]`` keeps that delta for every live cluster, from
+    the first placement that reads the column on, refreshed whenever the
+    cluster changes, and its maximum replaces scoring those clusters one by
+    one. A fresh cluster takes the id
     ``next_id``, the number of ids added so far, and a deleted id is never
     reused, so a column has one entry per id, -inf at a deleted one.
-    ``tops[(s, p)]`` is the id of the column's first maximum, or -1 when
+    ``tops[(s, q)]`` is the id of the column's first maximum, or -1 when
     unknown: ``best`` rescans a column only then, and each update keeps it
     exact. It becomes -1 when its own entry falls or its cluster is
     deleted, and passes to a cluster whose new entry is greater, or equal
@@ -255,10 +272,10 @@ class _Placer:
     ``changes`` logs the id of the cluster each ``add`` and ``remove``
     changes, so the clusters changed since a transaction's last placement
     are the ids in ``changes[since:]``, ``since`` the log's length then.
-    ``scored`` counts the placements that scored every cluster sharing a
-    non-full row because t had no earlier placement or its home offers less
-    than ``won``; one whose log grew by k or more entries scores them all
-    too, but is not counted.
+    ``scored`` counts the placements that scored every cluster meeting a
+    sparse row or missing a dense row because t had no earlier placement or
+    its home offers less than ``won``; one whose log grew by k or more
+    entries scores them all too, but is not counted.
     """
 
     def __init__(self, m: int, repulsion: float) -> None:
@@ -269,6 +286,7 @@ class _Placer:
         self.stats: dict[int, tuple[int, int, int, float]] = {}
         self.disjoint: dict[tuple[int, int], list[float]] = {}
         self.tops: dict[tuple[int, int], int] = {}
+        self.missing: dict[int, set[int]] = {}
         self.next_id = 0
         self.changes: list[int] = []
         self.scored = 0
@@ -292,10 +310,11 @@ class _Placer:
         in ascending id, with ``t`` taken out of its home, and taking over
         only on a strictly greater delta.
 
-        A full row adds 1 to every overlap, so only the clusters in the p
-        non-full rows of t's s are scored, and all others are read through
-        the maximum of column ``(s, p)``: O(entries of the non-full rows).
-        The home's own entry is held out of that maximum.
+        Only the clusters that meet one of the q sparse rows of t's s or
+        miss one of its dense rows are scored, and all others are read
+        through the maximum of column ``(s, q)``: O(entries of the sparse
+        rows + misses of the dense ones). The home's own entry and those of
+        the clusters that miss a dense row are held out of that maximum.
 
         ``since`` is ``len(changes)`` right after t's last placement, which
         put it in ``home`` with delta ``won``, or -1 if there was none. Every
@@ -322,57 +341,86 @@ class _Placer:
             home_delta = G - _gain(S - s, W - ones, N1 - 2, self.r)
             if home_delta < won:
                 since = -1
-        partial = [row for row in rows if len(row) != k] if k in map(len, rows) else rows
-        p = len(partial)
+        dense = k >> _DENSE_SHIFT
+        # rows of at most k >> 1 entries in all hold no dense one, the usual
+        # case when no item is near-ubiquitous; the loop sorts the others
+        if sum(map(len, rows)) <= dense:
+            sparse, gaps = rows, ()
+        else:
+            sparse, gaps = [], []
+            missing = self.missing
+            for item, row in zip(items, rows):
+                if len(row) <= dense:
+                    sparse.append(row)
+                else:
+                    gap = missing.get(item)
+                    if gap is None:
+                        gap = missing[item] = stats.keys() - row.keys()
+                    if gap:
+                        gaps.append(gap)
+        q = len(sparse)
         if since < 0:
             self.scored += 1
-            shared = partial
+            shared, missed = sparse, gaps
         elif len(self.changes) - since < k:
             changed = set(self.changes[since:])
-            shared = [row.keys() & changed for row in partial]
+            shared = [row.keys() & changed for row in sparse]
+            missed = [gap & changed for gap in gaps] if gaps else gaps
         else:
             # a log tail of k or more ids: sifting would save little
-            shared = partial
-        # overlaps in the non-full rows, for the clusters to score
+            shared, missed = sparse, gaps
+        # overlaps in the sparse rows less the dense rows missed, for the
+        # clusters to score
         ov: dict[int, int] = {}
         _count_elements(ov, itertools.chain.from_iterable(shared))
+        for gap in missed:
+            for cid in gap:
+                ov[cid] = ov.get(cid, 0) - 1
         ov.pop(home, None)
         best_cid, best = None, -math.inf
         pw = self.pw
         for cid, o in ov.items():
             S, W, N1, G = stats[cid]
             try:
-                d = (S + s) / pw[W + p - o] * N1 - G
+                d = (S + s) / pw[W + q - o] * N1 - G
             except IndexError:
-                d = _gain(S + s, W + p - o, N1, self.r) - G
+                d = _gain(S + s, W + q - o, N1, self.r) - G
             if d > best or d == best and cid < best_cid:
                 best, best_cid = d, cid
 
-        # Overlap outside the full rows only narrows the width, so a scored
-        # cluster's column entry is at most its exact delta. A column maximum
-        # above ``best`` is therefore an unscored cluster's delta, and one
-        # equal to ``best`` is first held by a cluster whose exact delta
-        # equals ``best``: the lowest id among them wins the tie. (An
+        # Overlap in the sparse rows only narrows the width, so the column
+        # entry of a scored cluster that misses no dense row is at most its
+        # exact delta. With the clusters that miss one held out, a column
+        # maximum above ``best`` is therefore an unscored cluster's delta,
+        # and one equal to ``best`` is first held by a cluster whose exact
+        # delta equals ``best``: the lowest id among them wins the tie. (An
         # unscored unchanged cluster's entry is at most the home's delta,
         # so when it tops the column the home keeps t.)
-        key = s, p
+        key = s, q
         column = self.disjoint.get(key)
         if column is None:
             column = self.disjoint[key] = [-math.inf] * self.next_id
             for cid, (S, W, N1, G) in stats.items():
-                column[cid] = self._delta(S + s, W + p, N1, G)
+                column[cid] = self._delta(S + s, W + q, N1, G)
             self.tops[key] = -1
         top_cid = self.tops[key]
         if top_cid < 0:
             top_cid = self.tops[key] = column.index(max(column))
         top = column[top_cid]
-        if top_cid == home:
-            # The cached top is the home's own entry: the others' maximum is
-            # read with it held out, and is not cached.
-            held, column[home] = column[home], -math.inf
+        if top_cid == home or gaps and any(top_cid in gap for gap in gaps):
+            # The cached top is the home's own entry or one that may be
+            # above its cluster's delta: the maximum is read with all of
+            # those held out, and is not cached.
+            held = [cid for gap in gaps for cid in gap]
+            if home is not None:
+                held.append(home)
+            kept = list(map(column.__getitem__, held))
+            for cid in held:
+                column[cid] = -math.inf
             top = max(column)
             top_cid = column.index(top)
-            column[home] = held
+            for cid, d in zip(held, kept):
+                column[cid] = d
         if top > -math.inf and (top > best or top == best and top_cid < best_cid):
             best, best_cid = top, top_cid
         if home is not None and home_delta >= best:
@@ -386,13 +434,22 @@ class _Placer:
         """Add a transaction to a live cluster, or to a fresh one if ``cid``
         is ``next_id``."""
         self.changes.append(cid)
+        index = self.index
+        missing = self.missing
         if cid not in self.stats:
             self.stats[cid] = (0, 0, 1, 0.0)
             self.next_id += 1
             for column in self.disjoint.values():
                 column.append(-math.inf)
+            # the newborn misses every row, and one more cluster may leave a
+            # row no longer dense
+            dense = len(self.stats) >> _DENSE_SHIFT
+            for item in list(missing):
+                if len(index[item]) > dense:
+                    missing[item].add(cid)
+                else:
+                    del missing[item]
         S, W, N1, _ = self.stats[cid]
-        index = self.index
         for item in items:
             row = index[item]
             if cid in row:
@@ -400,22 +457,32 @@ class _Placer:
             else:
                 row[cid] = 1
                 W += 1
+                if item in missing:
+                    missing[item].remove(cid)
         self._restat(cid, S + len(items), W, N1 + 1)
 
     def remove(self, cid: int, items: tuple[ItemId, ...]) -> None:
         self.changes.append(cid)
         S, W, N1, _ = self.stats[cid]
         index = self.index
+        missing = self.missing
         for item in items:
             row = index[item]
             count = row[cid]
             if count == 1:
                 del row[cid]
                 W -= 1
+                if item in missing:
+                    if len(row) > len(self.stats) >> _DENSE_SHIFT:
+                        missing[item].add(cid)
+                    else:
+                        del missing[item]
             else:
                 row[cid] = count - 1
         if N1 == 2:
             del self.stats[cid]
+            for gap in missing.values():
+                gap.remove(cid)
             tops = self.tops
             for key, column in self.disjoint.items():
                 column[cid] = -math.inf

@@ -24,7 +24,7 @@ from txcleanse import (
     recompute_profit,
 )
 from reference_clope import best_home, reference_cluster
-from txcleanse.clope import _gain, _partitions, _Placer, _powers
+from txcleanse.clope import _DENSE_SHIFT, _gain, _partitions, _Placer, _powers
 
 
 class TestPartitions:
@@ -423,8 +423,8 @@ class TestKernelParity:
     @pytest.mark.parametrize("r", [0.5, 1.5, 300.0, 300])
     def test_hubs_in_every_row(self, r):
         # Every transaction holds the three hubs, so their index rows hold
-        # every live cluster at every placement after the first, and each
-        # placement takes the full-row scan.
+        # every live cluster at every placement after the first: each
+        # placement reads them as dense rows that miss nothing.
         spec = SyntheticSpec(transactions=200, clusters=8, items_per_cluster=10,
                              picks_per_transaction=5, noise_rate=0.3, ubiquitous_items=3,
                              ubiquity=1.0, seed=18)
@@ -438,7 +438,7 @@ class TestKernelParity:
     def test_random_databases_with_an_item_in_every_row(self, r):
         # The wide databases hold 9 to 12 items per row, the hub included,
         # so that at r=300.0 the widths from 11 on, past the power table,
-        # decide placements in the full-row scan.
+        # decide placements that read the hub's full row as a dense one.
         rng = random.Random(1818)
         vocab = [f"i{j}" for j in range(12)]
         for _ in range(60):
@@ -572,12 +572,13 @@ class TestCachedMaxima:
 
 
 class TestFullRows:
-    """An index row that holds every live cluster adds 1 to every overlap:
-    ``best`` leaves such rows out of the overlap counts, scores the clusters
-    that share one of t's other p rows, and reads the rest through column
-    ``(|t|, p)``."""
+    """An index row that holds every live cluster is a dense row that misses
+    none: ``best`` leaves it out of the overlap counts, scores the clusters
+    that meet one of t's q sparse rows or miss one of its dense ones, and
+    reads the rest through column ``(|t|, q)``."""
 
-    # Clusters 0, 1 and 2 all hold h, and only 0 and 1 hold n; x is in none.
+    # Clusters 0, 1 and 2 all hold h, and only 0 and 1 hold n, so n's row is
+    # dense and misses 2; x is in none.
     # All three have S=5, W=3 and N=2, so equal overlaps tie.
     MEMBERS = {0: ("hna", "ha"), 1: ("hnb", "hb"), 2: ("hc", "hac")}
     VOCAB = "hnabcx"
@@ -644,6 +645,88 @@ class TestFullRows:
         assert placer.best(t.items)[0] == best_home(summaries, t, 1.0) == 0
         # {h}'s entry is the top of column (3, 2)
         assert placer.tops[(3, 2)] == ids[0]
+
+
+def _assert_complements_exact(placer):
+    """Each kept complement is the set of live clusters its row lacks, and
+    only dense rows keep one."""
+    dense = len(placer.stats) >> _DENSE_SHIFT
+    for item, gap in placer.missing.items():
+        row = placer.index[item]
+        assert gap == placer.stats.keys() - row.keys(), item
+        assert len(row) > dense, item
+
+
+class TestDenseRows:
+    """An index row that holds more than ``k >> 1`` of the k live clusters
+    is dense: ``missing[item]`` keeps the clusters it lacks from the first
+    placement that reads it, ``add`` and ``remove`` keep that set exact, and
+    ``best`` holds every cluster in it out of the column maximum."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_random_adds_and_removals_keep_complements_exact(self, seed):
+        # Hubs sit in nine of ten transactions, so their rows hold most, but
+        # often not all, clusters. Transactions join random live clusters or
+        # fresh ones and leave again, so clusters are born and die while
+        # complements are kept, and a probe's placement after each step
+        # reads its dense rows and is checked against the reference.
+        spec = SyntheticSpec(transactions=200, clusters=10, items_per_cluster=10,
+                             picks_per_transaction=5, noise_rate=0.3, ubiquitous_items=5,
+                             ubiquity=0.9, seed=seed)
+        db, _ = generate_synthetic(spec)
+        rng = random.Random(seed)
+        placer = _Placer(db.m, 1.5)
+        homes = [None] * db.n
+        seen = Counter()
+        for _ in range(1500):
+            tid = rng.randrange(db.n)
+            t, home = db.transactions[tid], homes[tid]
+            kept = {item: set(gap) for item, gap in placer.missing.items()}
+            if home is None:
+                homes[tid] = rng.choice([*placer.stats, placer.next_id])
+                born = homes[tid] not in placer.stats
+                placer.add(homes[tid], t.items)
+                event = "birth" if born else "join"
+            else:
+                placer.remove(home, t.items)
+                homes[tid] = None
+                event = "death" if home not in placer.stats else "leave"
+            _assert_complements_exact(placer)
+            for item, gap in kept.items():
+                now = placer.missing.get(item)
+                change = ("dropped" if now is None else "grew" if now > gap
+                          else "shrank" if now < gap else None)
+                if change:
+                    seen[event, change] += 1
+            probe = db.transactions[rng.randrange(db.n)]
+            summaries = placer.summaries()
+            cid, won = placer.best(probe.items)
+            assert cid == best_home(summaries, probe, 1.5)
+            assert won == _delta_of(summaries, probe, 1.5, cid)
+            _assert_complements_exact(placer)
+        assert {("birth", "grew"), ("death", "shrank"), ("join", "shrank"),
+                ("leave", "grew"), ("leave", "dropped")} <= set(seen), seen
+
+    def test_cached_top_missing_a_dense_row_is_held_out(self):
+        # At r=1 rows a and d each hold two of the three clusters, so both
+        # are dense for t=adx: {a} (id 0) misses d and {d} (id 1) misses a.
+        # Column (3, 1) reads each cluster as if it met both, so {a} tops it
+        # with 4/2*2 - 1 = 3, though it offers t only 4/3*2 - 1. Held out
+        # with {d}, it leaves t to {ad} (id 2), which offers 5/3*2 - 1.
+        db = letters_db("a", "d", "ad", "adx")
+        *members, t = db.transactions
+        placer = _Placer(db.m, 1.0)
+        for cid, member in enumerate(members):
+            placer.add(cid, member.items)
+        summaries = placer.summaries()
+        want = delta_add(summaries[2], t, 1.0)
+        assert [delta_add(summaries[cid], t, 1.0) for cid in (0, 1)] == [4 / 3 * 2 - 1] * 2
+        assert placer.best(t.items) == (2, want)
+        assert best_home(summaries, t, 1.0) == 2
+        assert placer.disjoint == {(3, 1): [3.0, 3.0, want]}
+        assert placer.tops == {(3, 1): 0}
+        a, d = map(db.strings.index, "ad")
+        assert placer.missing == {a: {1}, d: {0}}
 
 
 class TestChangedClustersOnly:
@@ -787,22 +870,42 @@ class TestChangedClustersOnly:
         assert reference_cluster(db, 1.5).placements_per_pass == [db.n] * 3
 
 
+# The benchmark's pipeline-5k input shape; at seed 5 and 5,000 transactions
+# over 50 clusters it is that workload's seed-1 input 0.
+PIPELINE_5K = dict(items_per_cluster=20, picks_per_transaction=10, noise_items_per_hit=1,
+                   noise_rate=0.30, ubiquitous_items=5, ubiquity=0.95, seed=5)
+
+
 @pytest.mark.slow
 def test_pipeline_5k_input_at_repulsion_2_6_digest():
     # The benchmark's pipeline-5k input at seed 5 (its seed-1 input 0)
     # clustered at the CLOPE paper's repulsion: k=323 over five passes. The
     # digest of (assignment, moves_per_pass, hex profit_per_pass) was taken
     # before placements scored only changed clusters.
-    spec = SyntheticSpec(transactions=5000, clusters=50, items_per_cluster=20,
-                         picks_per_transaction=10, noise_items_per_hit=1, noise_rate=0.30,
-                         ubiquitous_items=5, ubiquity=0.95, seed=5)
-    db, _ = generate_synthetic(spec)
+    db, _ = generate_synthetic(SyntheticSpec(transactions=5000, clusters=50, **PIPELINE_5K))
     result = clope_cluster(db, 2.6)
     assert (result.k, result.moves_per_pass) == (323, [701, 96, 7, 1, 0])
     outputs = [result.assignment, result.moves_per_pass,
                [p.hex() for p in result.profit_per_pass]]
     digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
     assert digest == "fb72b6595f673780210bb545247fd6f9ba20f25b050b99acee23f2233c1fa20d"
+
+
+@pytest.mark.slow
+def test_pipeline_shape_at_20k_transactions_digest():
+    # The pipeline-5k shape at 20,000 transactions over 200 clusters, where
+    # the hub rows hold most but not all clusters and placement reads them
+    # as dense rows. The digest of (assignment, moves_per_pass,
+    # placements_per_pass, hex profit_per_pass) was taken while placement
+    # still scored every cluster in a row that was not full.
+    db, _ = generate_synthetic(SyntheticSpec(transactions=20000, clusters=200, **PIPELINE_5K))
+    result = clope_cluster(db, 1.5)
+    assert (result.k, result.moves_per_pass) == (400, [3308, 0])
+    assert result.placements_per_pass == [20000, 3543, 2208]
+    outputs = [result.assignment, result.moves_per_pass, result.placements_per_pass,
+               [p.hex() for p in result.profit_per_pass]]
+    digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+    assert digest == "95737e3ee7227ff2e636249ab5a7d0cf3ab283ffe02fc315ea9ac60a5d58325a"
 
 
 class TestBruteForce:
