@@ -166,6 +166,8 @@ class Band:
         """
         check_kind(kind)
         check_s(s)
+        if not (math.isfinite(mu_hat) and math.isfinite(sigma_hat)):
+            raise ValueError(f"mu_hat and sigma_hat must be finite, got {mu_hat}, {sigma_hat}")
         if sigma_hat < 0:
             raise ValueError("sigma_hat must be >= 0")
         log_space = kind == LOGNORMAL and not raw_band

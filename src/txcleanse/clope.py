@@ -75,7 +75,7 @@ from collections import _count_elements
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .core import ItemId, Transaction, TransactionDatabase
+from .core import ItemId, Transaction, TransactionDatabase, check_int
 
 # Relative slack for float comparisons of recomputed profits.
 PROFIT_RTOL = 1e-9
@@ -92,6 +92,7 @@ def check_repulsion(repulsion: float) -> None:
 
 
 def check_max_passes(max_passes: int) -> None:
+    check_int("max_passes", max_passes)
     if max_passes < 1:
         raise ValueError("max_passes must be >= 1")
 
@@ -329,35 +330,32 @@ class _Placer:
         stats = self.stats
         k = len(stats)
         if not k:
-            # every row is empty, and so trivially full: t opens a cluster
+            # every row is empty, and so sparse: t opens a cluster
             self.scored += 1
             return None, self._delta(s, s, 1, 0.0)
-        rows = list(map(self.index.__getitem__, items))
+        dense = k >> _DENSE_SHIFT
+        index = self.index
+        missing = self.missing
+        sparse, gaps = [], []
+        ones = 0  # items that t alone holds in its home
+        for item in items:
+            row = index[item]
+            if row.get(home) == 1:
+                ones += 1
+            if len(row) <= dense:
+                sparse.append(row)
+            else:
+                gap = missing.get(item)
+                if gap is None:
+                    gap = missing[item] = stats.keys() - row.keys()
+                if gap:
+                    gaps.append(gap)
         if home is not None:
-            # the home's delta is its gain minus the gain it would have
-            # without t
+            # the home's delta: its gain less the gain it would have without t
             S, W, N1, G = stats[home]
-            ones = sum(row[home] == 1 for row in rows)
             home_delta = G - _gain(S - s, W - ones, N1 - 2, self.r)
             if home_delta < won:
                 since = -1
-        dense = k >> _DENSE_SHIFT
-        # rows of at most k >> 1 entries in all hold no dense one, the usual
-        # case when no item is near-ubiquitous; the loop sorts the others
-        if sum(map(len, rows)) <= dense:
-            sparse, gaps = rows, ()
-        else:
-            sparse, gaps = [], []
-            missing = self.missing
-            for item, row in zip(items, rows):
-                if len(row) <= dense:
-                    sparse.append(row)
-                else:
-                    gap = missing.get(item)
-                    if gap is None:
-                        gap = missing[item] = stats.keys() - row.keys()
-                    if gap:
-                        gaps.append(gap)
         q = len(sparse)
         if since < 0:
             self.scored += 1
@@ -497,11 +495,11 @@ class _Placer:
         pw = self.pw
         tops = self.tops
         for key, column in self.disjoint.items():
-            s, p = key
+            s, q = key
             try:
-                d = (S + s) / pw[W + p] * N1 - G
+                d = (S + s) / pw[W + q] * N1 - G
             except IndexError:
-                d = _gain(S + s, W + p, N1, self.r) - G
+                d = _gain(S + s, W + q, N1, self.r) - G
             top = tops[key]
             if top == cid:
                 if d < column[cid]:

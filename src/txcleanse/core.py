@@ -22,6 +22,13 @@ class ParseError(ValueError):
     """Unrecoverable input problem (bad encoding, missing column, bad config)."""
 
 
+def check_int(name: str, value: object) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int (a
+    bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def normalize_item(raw: str) -> str:
     """Canonical item form: trimmed, lowercased, inner whitespace collapsed."""
     return " ".join(raw.split()).lower()

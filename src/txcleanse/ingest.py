@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import DatabaseBuilder, ParseError, TransactionDatabase
+from .core import DatabaseBuilder, ParseError, TransactionDatabase, check_int
 
 log = logging.getLogger(__name__)
 
@@ -64,8 +64,10 @@ def _decoded_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
 
 
 def check_limit(limit: int | None) -> None:
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1")
+    if limit is not None:
+        check_int("limit", limit)
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
 
 
 def check_delimiter(delimiter: str) -> None:

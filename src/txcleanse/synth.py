@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import DatabaseBuilder, TransactionDatabase
+from .core import DatabaseBuilder, TransactionDatabase, check_int
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("transactions", "clusters", "items_per_cluster", "picks_per_transaction",
+                     "noise_items_per_hit", "ubiquitous_items"):
+            check_int(name, getattr(self, name))
         if self.transactions < 1:
             raise ValueError("transactions must be >= 1")
         if self.clusters < 1 or self.clusters > self.transactions:

@@ -364,6 +364,15 @@ def test_non_positive_or_non_finite_s_rejected(s):
         fit_distribution([(1, 2), (3, 1)], "lognormal", s)
 
 
+@pytest.mark.parametrize("kind", ["lognormal", "exponential"])
+@pytest.mark.parametrize("mu_hat, sigma_hat", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_non_finite_moments_rejected(kind, mu_hat, sigma_hat):
+    with pytest.raises(ValueError, match="mu_hat and sigma_hat must be finite"):
+        Band.from_fit(kind, mu_hat, sigma_hat, 2.0)
+
+
 @pytest.mark.parametrize("lower, upper", [
     (math.nan, 3.0), (1.0, math.nan), (50.0, 3.0), (math.inf, math.inf), (-math.inf, 3.0),
 ])

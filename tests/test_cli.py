@@ -307,6 +307,13 @@ def test_run_pipeline_refuses_zero_limit_before_making_a_directory(fig1_file, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["max_passes", "limit"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
+def test_config_counts_must_be_ints(name, value):
+    with pytest.raises(ParseError, match=f"{name} must be an int"):
+        PipelineConfig(input_path="x", **{name: value}).validate()
+
+
 @pytest.mark.parametrize("lower, upper, missing", [
     (None, 3.0, "lower"), (2.0, None, "upper"),
 ])

@@ -169,6 +169,11 @@ class TestClopeCluster:
         with pytest.raises(ValueError):
             clope_cluster(database_from_items([]), 1.5)
 
+    @pytest.mark.parametrize("max_passes", [1.5, 2.0, "2", None, True])
+    def test_max_passes_must_be_an_int(self, max_passes):
+        with pytest.raises(ValueError, match="max_passes must be an int"):
+            clope_cluster(database_from_items([["a"]]), 1.5, max_passes)
+
     def test_empty_transaction_rejected(self):
         db = TransactionDatabase(("a",), ((0,), ()), (None, None))
         with pytest.raises(ValueError, match="transaction 1 is empty"):
@@ -336,13 +341,14 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("r", [300.0, 300])
     def test_disjoint_columns_equal_delta_add(self, r):
-        # disjoint[(s, p)][cid] is the delta of a size-s transaction that
-        # shares only its s - p full rows with cluster cid, and -inf once cid
-        # is deleted. Every member holds the hubs h0-h2, so their rows are
-        # full; the o items are in no cluster. Cluster widths run up to 15
-        # and p to 12, so at r=300.0 the widths from 11 on, past the power
-        # table, take _gain's exp/log path. Half the columns open before the
-        # removals, half after.
+        # disjoint[(s, q)][cid] is the delta of a size-s transaction with q
+        # sparse rows that meets cluster cid in each of its s - q dense rows
+        # and in none of its sparse ones, and -inf once cid is deleted. Every
+        # member holds the hubs h0-h2, so their rows are full and thus dense;
+        # the o items are in no cluster, so their rows are empty and sparse.
+        # Cluster widths run up to 15 and q to 12, so at r=300.0 the widths
+        # from 11 on, past the power table, take _gain's exp/log path. Half
+        # the columns open before the removals, half after.
         rng = random.Random(300)
         vocab = [f"i{j}" for j in range(12)]
         hubs = ["h0", "h1", "h2"]
@@ -467,8 +473,8 @@ def _assert_tops_are_first_maxima(placer):
 
 
 class TestCachedMaxima:
-    """``tops[(s, p)]`` caches the id of the first maximum of
-    ``disjoint[(s, p)]``, or -1 when unknown; ``best`` fills it and every
+    """``tops[(s, q)]`` caches the id of the first maximum of
+    ``disjoint[(s, q)]``, or -1 when unknown; ``best`` fills it and every
     update keeps it exact."""
 
     @pytest.mark.parametrize("r", [1.5, 300.0])
@@ -478,7 +484,7 @@ class TestCachedMaxima:
     @pytest.mark.parametrize("r", [1.5, 300.0])
     def test_lazily_opened_full_row_columns_keep_tops_exact(self, r):
         # Every member holds both hubs, whose rows are therefore full, and
-        # the probes hold up to both, so columns (s, p) with p < s open as
+        # the probes hold up to both, so columns (s, q) with q < s open as
         # placements first read them, before and after removals.
         self._random_adds_and_removals(r, hubs=2)
 
@@ -755,13 +761,14 @@ class TestChangedClustersOnly:
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.6])
     def test_each_placement_matches_a_full_scoring(self, r, monkeypatch):
-        # Every placement that scores fewer than all the clusters sharing a
-        # non-full row with t makes the choice, with the same delta, that a
-        # full scoring from the same state makes. Of the changed-only ones,
-        # those whose log grew by fewer than k entries sift the rows for the
-        # changed clusters; the others score every sharing cluster, yet are
-        # not counted: placements_per_pass counts exactly the placements
-        # with no earlier one or whose home's delta fell below won.
+        # Every placement that scores fewer than all the clusters meeting one
+        # of t's sparse rows or missing one of its dense rows makes the
+        # choice, with the same delta, that a full scoring from the same
+        # state makes. Of the changed-only ones, those whose log grew by
+        # fewer than k entries sift the rows for the changed clusters; the
+        # others score every such cluster, yet are not counted:
+        # placements_per_pass counts exactly the placements with no earlier
+        # one or whose home's delta fell below won.
         best = _Placer.best
         seen = Counter()
         branches = Counter()

@@ -437,6 +437,12 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate(db, 0)
 
+    @pytest.mark.parametrize("limit", [1.5, 1.0, "1", True])
+    def test_limit_must_be_an_int(self, limit):
+        db = database_from_items([["a"], ["b"]])
+        with pytest.raises(ValueError, match="limit must be an int"):
+            truncate(db, limit)
+
     def test_head_of_empty_rows_keeps_no_string(self):
         db = TransactionDatabase(("a",), ((), (0,)), (None, None))
         cut = truncate(db, 1)
@@ -484,6 +490,13 @@ class TestParseLimit:
     def test_limit_must_be_positive(self, parse):
         with pytest.raises(ValueError, match="limit must be >= 1"):
             parse(_read_up_to(["a\tb"], 0), limit=0)
+
+    # a float limit never equals a count, so it would read every line
+    @pytest.mark.parametrize("limit", [2.5, 1.0, "1", True])
+    @pytest.mark.parametrize("parse", [parse_transactions, parse_keyword_registration])
+    def test_limit_must_be_an_int(self, parse, limit):
+        with pytest.raises(ValueError, match="limit must be an int"):
+            parse(_read_up_to(["a\tb"], 0), limit=limit)
 
     @pytest.mark.parametrize("fmt, head", [("generic", b"a\tb\n\nb\tc\n"),
                                            ("keywords", b"u1\ta\nu2\n\nu3\tb\n")])

@@ -50,6 +50,15 @@ def test_cluster_items_come_from_the_planted_pool():
         assert prefixes == {f"c{label:03d}"}
 
 
+@pytest.mark.parametrize("name", ["transactions", "clusters", "items_per_cluster",
+                                  "picks_per_transaction", "noise_items_per_hit",
+                                  "ubiquitous_items"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
+def test_counts_must_be_ints(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        _small_spec(**{name: value}).validate()
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         SyntheticSpec(transactions=0).validate()
