@@ -38,6 +38,13 @@ what it misses, not what it holds; a full row misses none. A cluster that
 misses a dense row may have a column entry above its delta, so those
 clusters are held out of the column maximum with the home. A placement
 rescans the column when the cached maximum fell or left, or is held out.
+Before that column, a placement with q > 0 reads the maximum of column
+(s, q-1). A cluster of overlap 1 offers exactly its entry there, and one of
+overlap 0 or less at most its entry, being wider, so that maximum bounds
+every cluster of overlap at most 1, scored or not, the home and the
+held-out ones included. When it is below both the home's delta and a
+fresh cluster's, none of them can win or tie: the placement scores only
+the clusters of overlap 2 or more and reads no other column.
 
 A placement re-scores only what changed since the transaction's last one.
 The placer logs the id of the cluster each add and remove changes, and
@@ -55,13 +62,15 @@ read; if it grew by k or more, every such cluster is, which is as exact and
 skips the sifting. A placement thus costs O(1) when nothing changed, O(s +
 g + sum over its sparse rows of min(row, g) + misses of its dense rows)
 while its home holds and g < k, and O(s + entries of its sparse rows +
-misses of its dense rows) otherwise, plus O(ids added so far) when it
-rescans a column; a pass adds one delta per column for each cluster change,
-and one set update per kept dense row for each cluster that joins or leaves
-it, is born or dies. Every delta is bit-identical to ``delta_add``'s. The
-index, one row per item id, is the only occurrence map:
-``Clustering.clusters`` is read off it once, and each pass's profit sums
-the gains G the placer keeps. ``delta_add``, ``ClusterSummary`` and
+misses of its dense rows) otherwise, plus O(ids added so far) per column
+it rescans. A bounded placement still counts the overlaps over those rows
+but computes a delta only for the clusters of overlap 2 or more, and never
+rescans for a held-out maximum. A pass adds one delta per column for each
+cluster change, and one set update per kept dense row for each cluster
+that joins or leaves it, is born or dies. Every delta is bit-identical to
+``delta_add``'s. The index, one row per item id, is the only occurrence
+map: ``Clustering.clusters`` is read off it once, and each pass's profit
+sums the gains G the placer keeps. ``delta_add``, ``ClusterSummary`` and
 ``profit`` stay as the oracles the tests compare the kernel against.
 """
 
@@ -261,9 +270,13 @@ class _Placer:
     ``disjoint[(s, q)][cid]`` keeps that delta for every live cluster, from
     the first placement that reads the column on, refreshed whenever the
     cluster changes, and its maximum replaces scoring those clusters one by
-    one. A fresh cluster takes the id
-    ``next_id``, the number of ids added so far, and a deleted id is never
-    reused, so a column has one entry per id, -inf at a deleted one.
+    one. Column ``(s, q-1)`` holds the exact delta of each cluster of
+    overlap 1 with t (its overlap with the sparse rows less the dense rows
+    it misses) and bounds those of lesser overlap, so ``best`` reads its
+    maximum first and scores none of them when that is below both the
+    home's delta and a fresh cluster's, ``fresh[s]``. A fresh cluster takes
+    the id ``next_id``, the number of ids added so far, and a deleted id is
+    never reused, so a column has one entry per id, -inf at a deleted one.
     ``tops[(s, q)]`` is the id of the column's first maximum, or -1 when
     unknown: ``best`` rescans a column only then, and each update keeps it
     exact. It becomes -1 when its own entry falls or its cluster is
@@ -283,6 +296,9 @@ class _Placer:
         self.r = repulsion
         # widths never exceed m; wider or overflowing ones take _gain's path
         self.pw = _powers(m + 1, repulsion)
+        # a fresh cluster's delta per transaction size s: _delta(s, s, 1,
+        # 0.0) is s / pw[s] * 1 - 0.0, which is s / pw[s]
+        self.fresh = [s / p if s else 0.0 for s, p in enumerate(self.pw)]
         self.index: list[dict[int, int]] = [{} for _ in range(m)]
         self.stats: dict[int, tuple[int, int, int, float]] = {}
         self.disjoint: dict[tuple[int, int], list[float]] = {}
@@ -316,6 +332,10 @@ class _Placer:
         through the maximum of column ``(s, q)``: O(entries of the sparse
         rows + misses of the dense ones). The home's own entry and those of
         the clusters that miss a dense row are held out of that maximum.
+        When q > 0, the maximum of column ``(s, q-1)`` is read first: it
+        bounds every cluster of overlap at most 1, and when it is below both
+        the home's delta and a fresh cluster's, only the clusters of overlap
+        2 or more are scored and column ``(s, q)`` is not read.
 
         ``since`` is ``len(changes)`` right after t's last placement, which
         put it in ``home`` with delta ``won``, or -1 if there was none. Every
@@ -327,12 +347,17 @@ class _Placer:
         if since == len(self.changes):
             return home, won
         s = len(items)
+        try:
+            fresh = self.fresh[s]
+        except IndexError:
+            # s**r overflows a float
+            fresh = _gain(s, s, 1, self.r)
         stats = self.stats
         k = len(stats)
         if not k:
             # every row is empty, and so sparse: t opens a cluster
             self.scored += 1
-            return None, self._delta(s, s, 1, 0.0)
+            return None, fresh
         dense = k >> _DENSE_SHIFT
         index = self.index
         missing = self.missing
@@ -350,12 +375,15 @@ class _Placer:
                     gap = missing[item] = stats.keys() - row.keys()
                 if gap:
                     gaps.append(gap)
+        floor = fresh
         if home is not None:
             # the home's delta: its gain less the gain it would have without t
             S, W, N1, G = stats[home]
             home_delta = G - _gain(S - s, W - ones, N1 - 2, self.r)
             if home_delta < won:
                 since = -1
+            if home_delta > floor:
+                floor = home_delta
         q = len(sparse)
         if since < 0:
             self.scored += 1
@@ -375,9 +403,19 @@ class _Placer:
             for cid in gap:
                 ov[cid] = ov.get(cid, 0) - 1
         ov.pop(home, None)
+        # Column (s, q-1) holds the delta of each cluster of overlap 1 and
+        # bounds those of lesser overlap, home and held-out ones included:
+        # below the floor, none of them can win or tie, and only the
+        # clusters of overlap 2 or more are scored.
+        bounded = False
+        if q:
+            column, top_cid = self._column(s, q - 1)
+            bounded = column[top_cid] < floor
         best_cid, best = None, -math.inf
         pw = self.pw
         for cid, o in ov.items():
+            if bounded and o < 2:
+                continue
             S, W, N1, G = stats[cid]
             try:
                 d = (S + s) / pw[W + q - o] * N1 - G
@@ -386,47 +424,54 @@ class _Placer:
             if d > best or d == best and cid < best_cid:
                 best, best_cid = d, cid
 
-        # Overlap in the sparse rows only narrows the width, so the column
-        # entry of a scored cluster that misses no dense row is at most its
-        # exact delta. With the clusters that miss one held out, a column
-        # maximum above ``best`` is therefore an unscored cluster's delta,
-        # and one equal to ``best`` is first held by a cluster whose exact
-        # delta equals ``best``: the lowest id among them wins the tie. (An
-        # unscored unchanged cluster's entry is at most the home's delta,
-        # so when it tops the column the home keeps t.)
+        if not bounded:
+            # Overlap in the sparse rows only narrows the width, so the
+            # column entry of a scored cluster that misses no dense row is
+            # at most its exact delta. With the clusters that miss one held
+            # out, a column maximum above ``best`` is therefore an unscored
+            # cluster's delta, and one equal to ``best`` is first held by a
+            # cluster whose exact delta equals ``best``: the lowest id among
+            # them wins the tie. (An unscored unchanged cluster's entry is at
+            # most the home's delta, so when it tops the column the home
+            # keeps t.)
+            column, top_cid = self._column(s, q)
+            top = column[top_cid]
+            if top_cid == home or gaps and any(top_cid in gap for gap in gaps):
+                # The cached top is the home's own entry or one that may be
+                # above its cluster's delta: the maximum is read with all of
+                # those held out, and is not cached.
+                held = [cid for gap in gaps for cid in gap]
+                if home is not None:
+                    held.append(home)
+                kept = list(map(column.__getitem__, held))
+                for cid in held:
+                    column[cid] = -math.inf
+                top = max(column)
+                top_cid = column.index(top)
+                for cid, d in zip(held, kept):
+                    column[cid] = d
+            if top > -math.inf and (top > best or top == best and top_cid < best_cid):
+                best, best_cid = top, top_cid
+        if home is not None and home_delta >= best:
+            best, best_cid = home_delta, home
+        if fresh > best:
+            return None, fresh
+        return best_cid, best
+
+    def _column(self, s: int, q: int) -> tuple[list[float], int]:
+        """Column ``disjoint[(s, q)]`` and the id of its first maximum,
+        opening the column and rescanning its maximum as needed."""
         key = s, q
         column = self.disjoint.get(key)
         if column is None:
             column = self.disjoint[key] = [-math.inf] * self.next_id
-            for cid, (S, W, N1, G) in stats.items():
+            for cid, (S, W, N1, G) in self.stats.items():
                 column[cid] = self._delta(S + s, W + q, N1, G)
             self.tops[key] = -1
         top_cid = self.tops[key]
         if top_cid < 0:
             top_cid = self.tops[key] = column.index(max(column))
-        top = column[top_cid]
-        if top_cid == home or gaps and any(top_cid in gap for gap in gaps):
-            # The cached top is the home's own entry or one that may be
-            # above its cluster's delta: the maximum is read with all of
-            # those held out, and is not cached.
-            held = [cid for gap in gaps for cid in gap]
-            if home is not None:
-                held.append(home)
-            kept = list(map(column.__getitem__, held))
-            for cid in held:
-                column[cid] = -math.inf
-            top = max(column)
-            top_cid = column.index(top)
-            for cid, d in zip(held, kept):
-                column[cid] = d
-        if top > -math.inf and (top > best or top == best and top_cid < best_cid):
-            best, best_cid = top, top_cid
-        if home is not None and home_delta >= best:
-            best, best_cid = home_delta, home
-        fresh = self._delta(s, s, 1, 0.0)
-        if fresh > best:
-            return None, fresh
-        return best_cid, best
+        return column, top_cid
 
     def add(self, cid: int, items: tuple[ItemId, ...]) -> None:
         """Add a transaction to a live cluster, or to a fresh one if ``cid``
@@ -464,6 +509,24 @@ class _Placer:
         S, W, N1, _ = self.stats[cid]
         index = self.index
         missing = self.missing
+        dense = len(self.stats) >> _DENSE_SHIFT
+        if N1 == 2:
+            # t is the cluster's only member, so it holds each item once,
+            # and the cluster dies: it leaves every complement but its rows'
+            del self.stats[cid]
+            for item in items:
+                row = index[item]
+                del row[cid]
+                if item in missing and len(row) <= dense:
+                    del missing[item]
+            for gap in missing.values():
+                gap.discard(cid)
+            tops = self.tops
+            for key, column in self.disjoint.items():
+                column[cid] = -math.inf
+                if tops[key] == cid:
+                    tops[key] = -1
+            return
         for item in items:
             row = index[item]
             count = row[cid]
@@ -471,23 +534,13 @@ class _Placer:
                 del row[cid]
                 W -= 1
                 if item in missing:
-                    if len(row) > len(self.stats) >> _DENSE_SHIFT:
+                    if len(row) > dense:
                         missing[item].add(cid)
                     else:
                         del missing[item]
             else:
                 row[cid] = count - 1
-        if N1 == 2:
-            del self.stats[cid]
-            for gap in missing.values():
-                gap.remove(cid)
-            tops = self.tops
-            for key, column in self.disjoint.items():
-                column[cid] = -math.inf
-                if tops[key] == cid:
-                    tops[key] = -1
-        else:
-            self._restat(cid, S - len(items), W, N1 - 1)
+        self._restat(cid, S - len(items), W, N1 - 1)
 
     def _restat(self, cid: int, S: int, W: int, N1: int) -> None:
         G = _gain(S, W, N1 - 1, self.r)

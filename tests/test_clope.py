@@ -369,7 +369,7 @@ class TestKernelParity:
             homes.append(cid)
         keys = sorted(outside)
         for key in keys[::2]:
-            placer.best(outside[key].items)
+            placer._column(*key)
         # every third member leaves, and so does every member of member 1's
         # cluster, which is thereby deleted
         gone = homes[1]
@@ -378,7 +378,7 @@ class TestKernelParity:
                 placer.remove(home, members[i].items)
                 homes[i] = None
         for key in keys[1::2]:
-            placer.best(outside[key].items)
+            placer._column(*key)
         assert sorted(placer.disjoint) == keys
         assert len(placer.index) == db.m
         assert all(all(row.values()) for row in placer.index)
@@ -556,7 +556,9 @@ class TestCachedMaxima:
     def test_home_holding_the_cached_top_is_held_out(self):
         # At r=0.5 the home {cf} holds the greatest entry of column (2, 2);
         # held out, the first maximum is {a} (id 0), tied with {a} (id 1),
-        # and t, which shares no item with either, joins id 0.
+        # and t, which shares no item with either, joins id 0. Column (2, 1)
+        # reads {a} as meeting t in one item, above the home's delta, so it
+        # bounds nothing and column (2, 2) is read.
         db = letters_db("a", "a", "cf", "de")
         t, disjoint = db.transactions[2:]
         placer = _Placer(db.m, 0.5)
@@ -573,8 +575,8 @@ class TestCachedMaxima:
             # the first call opens the column and caches the home's id, the
             # second reads it
             assert placer.best(t.items, 2)[0] == want
-            assert placer.tops == {(2, 2): 2}
-            assert placer.disjoint == {(2, 2): column}
+            assert placer.tops[(2, 2)] == 2
+            assert placer.disjoint[(2, 2)] == column
 
 
 class TestFullRows:
@@ -719,6 +721,8 @@ class TestDenseRows:
         # Column (3, 1) reads each cluster as if it met both, so {a} tops it
         # with 4/2*2 - 1 = 3, though it offers t only 4/3*2 - 1. Held out
         # with {d}, it leaves t to {ad} (id 2), which offers 5/3*2 - 1.
+        # Column (3, 0), whose maximum 7 is above a fresh cluster's 1, bounds
+        # nothing, so column (3, 1) is read.
         db = letters_db("a", "d", "ad", "adx")
         *members, t = db.transactions
         placer = _Placer(db.m, 1.0)
@@ -729,10 +733,79 @@ class TestDenseRows:
         assert [delta_add(summaries[cid], t, 1.0) for cid in (0, 1)] == [4 / 3 * 2 - 1] * 2
         assert placer.best(t.items) == (2, want)
         assert best_home(summaries, t, 1.0) == 2
-        assert placer.disjoint == {(3, 1): [3.0, 3.0, want]}
-        assert placer.tops == {(3, 1): 0}
+        assert placer.disjoint[(3, 1)] == [3.0, 3.0, want]
+        assert placer.tops[(3, 1)] == 0
         a, d = map(db.strings.index, "ad")
         assert placer.missing == {a: {1}, d: {0}}
+
+
+class TestOverlapBound:
+    """A cluster of overlap o with t offers ``(S+s) / pw[W+q-o] * (N+1) -
+    G``, its entry in column ``(s, q-1)`` when o is 1 and at most that entry
+    when o is less. So while that column's maximum is below both the home's
+    delta and a fresh cluster's, ``best`` scores only the clusters of
+    overlap 2 or more and reads no other column."""
+
+    def test_overlap_one_clusters_at_the_floor_fall_back(self):
+        # At r=1, {y, y} (id 0) and {x, x} (id 1) each meet t=xyz in one
+        # sparse row and offer it 5/3*3 - 4 = 1.0, a fresh cluster's delta.
+        # Their entries in column (3, 2) are those deltas, so its maximum
+        # equals the floor and no cluster may be skipped: both are scored,
+        # id 1 first, since x's row comes first, and the lower id takes t.
+        db = letters_db("xyz", "y", "y", "x", "x")
+        t, *members = db.transactions
+        placer = _Placer(db.m, 1.0)
+        for cid, member in zip((0, 0, 1, 1), members):
+            placer.add(cid, member.items)
+        summaries = placer.summaries()
+        assert [delta_add(summaries[cid], t, 1.0) for cid in (0, 1)] == [1.0, 1.0]
+        assert _gain(3, 3, 1, 1.0) == 1.0
+        assert placer.best(t.items) == (0, 1.0)
+        assert best_home(summaries, t, 1.0) == 0
+        assert max(placer.disjoint[(3, 2)]) == 1.0
+
+    @pytest.mark.parametrize("r", [1.5, 2.6, 300.0])
+    def test_each_placement_matches_the_reference(self, r, monkeypatch):
+        # Hubs sit in nine of ten rows and the other items come from a
+        # vocabulary of 12, so clusters share many items with a transaction
+        # and meet it in many rows at once. Rows hold up to 15 items, so at
+        # r=300.0 the widths from 11 on take _gain's exp/log path. Every
+        # placement is checked against the reference; a placement whose
+        # column (s, q-1) maximum is below the floor reads no other column.
+        best, column = _Placer.best, _Placer._column
+        opened = []
+        seen = Counter()
+
+        def tallied_column(placer, s, q):
+            opened.append((s, q))
+            return column(placer, s, q)
+
+        def checked_best(placer, items, home=None, since=-1, won=0.0):
+            k = len(placer.stats)
+            q = sum(len(placer.index[item]) <= k >> _DENSE_SHIFT for item in items)
+            s = len(items)
+            opened.clear()
+            got = best(placer, items, home, since, won)
+            summaries = placer.summaries()
+            t = Transaction(0, items)
+            if home is not None:
+                summaries[home].remove(t)
+            assert got[0] == best_home(summaries, t, placer.r, home)
+            assert got[1] == _delta_of(summaries, t, placer.r, got[0])
+            if opened:
+                seen["pruned" if q and opened == [(s, q - 1)] else "scored"] += 1
+            return got
+
+        monkeypatch.setattr(_Placer, "best", checked_best)
+        monkeypatch.setattr(_Placer, "_column", tallied_column)
+        rng = random.Random(29)
+        vocab = [f"i{j}" for j in range(12)]
+        hubs = ["h0", "h1", "h2"]
+        for _ in range(12):
+            rows = [rng.sample(vocab, rng.randint(1, 12)) + [h for h in hubs if rng.random() < 0.9]
+                    for _ in range(rng.randint(10, 60))]
+            _assert_matches_reference(database_from_items(rows), r, 20)
+        assert seen["pruned"] and seen["scored"], seen
 
 
 class TestChangedClustersOnly:
@@ -913,6 +986,30 @@ def test_pipeline_shape_at_20k_transactions_digest():
                [p.hex() for p in result.profit_per_pass]]
     digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
     assert digest == "95737e3ee7227ff2e636249ab5a7d0cf3ab283ffe02fc315ea9ac60a5d58325a"
+
+
+@pytest.mark.slow
+def test_short_transactions_over_many_narrow_clusters_digest():
+    # The regime of the benchmark's aol-wide workload: 6,000 transactions of
+    # three to eight items (three from one of 600 planted pools of seven,
+    # each of five hubs with chance 0.12, a junk item in three of ten) end
+    # in 1,743 clusters, and no index row holds more than half of them, so
+    # every row is sparse. Most clusters that share an item with a
+    # transaction share only that one, and on every placement the maximum
+    # of column (s, q-1) bounds them all: of the 3.7 million clusters that
+    # placements scored one by one before that bound, 0.29 million remain.
+    # The digest of (assignment, moves_per_pass, placements_per_pass, hex
+    # profit_per_pass) was taken before it.
+    db, _ = generate_synthetic(SyntheticSpec(
+        transactions=6000, clusters=600, items_per_cluster=7, picks_per_transaction=3,
+        noise_rate=0.3, ubiquitous_items=5, ubiquity=0.12, seed=29))
+    result = clope_cluster(db, 1.5)
+    assert (result.k, result.moves_per_pass) == (1743, [901, 182, 22, 4, 1, 0])
+    assert result.placements_per_pass == [6000, 808, 879, 180, 45, 14, 0]
+    outputs = [result.assignment, result.moves_per_pass, result.placements_per_pass,
+               [p.hex() for p in result.profit_per_pass]]
+    digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+    assert digest == "b4a51f73045ca891cf8c1e68712cfe8915385d33816018f2d91067fc910d6519"
 
 
 class TestBruteForce:
