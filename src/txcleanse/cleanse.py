@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence, Union
 
-from .core import ItemId, TransactionDatabase, remap
+from .core import ItemId, TransactionDatabase, check_number, remap
 
 LOGNORMAL = "lognormal"
 EXPONENTIAL = "exponential"
@@ -116,6 +116,7 @@ def check_kind(kind: str) -> None:
 
 
 def check_s(s: float) -> None:
+    check_number("band multiplier s", s)
     if not (s > 0 and math.isfinite(s)):
         raise ValueError("band multiplier s must be finite and > 0")
 
@@ -186,6 +187,7 @@ class Band:
         for name, value in (("lower", lower), ("upper", upper)):
             if value is None:
                 raise ValueError(f"manual band is missing its {name} endpoint")
+            check_number(f"manual band {name} endpoint", value)
         if not (math.isfinite(lower) and lower <= upper):
             raise ValueError(
                 f"manual band needs a finite lower <= upper, got [{lower}, {upper}]"
@@ -346,14 +348,6 @@ def cleanse(db: TransactionDatabase, band: Band, hist: FrequencyHistogram | None
     return remap(db, report.id_map), report
 
 
-def write_histogram_csv(hist: FrequencyHistogram, path) -> None:
-    """CSV export of the marginal: header then ``frequency,count`` ascending."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frequency,count\n")
-        for f, k in hist.marginal:
-            fh.write(f"{f},{k}\n")
-
-
 __all__ = [
     "LOGNORMAL",
     "EXPONENTIAL",
@@ -370,5 +364,4 @@ __all__ = [
     "CleansingReport",
     "plan_cleanse",
     "cleanse",
-    "write_histogram_csv",
 ]

@@ -11,13 +11,14 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import clope, ingest, synth
 from .cleanse import (
@@ -33,9 +34,8 @@ from .cleanse import (
     item_frequencies,
     log_likelihood,
     plan_cleanse as cleanse_database,  # the band step: callers remap or write its table
-    write_histogram_csv,
 )
-from .core import ParseError, TransactionDatabase, remap
+from .core import ParseError, TransactionDatabase, check_int, remap
 
 FORMATS = ("generic", "aol", "keywords")
 
@@ -75,7 +75,13 @@ class PipelineConfig:
     manual_upper: float | None = None
 
     def validate(self) -> None:
-        """Raise ParseError naming the first out-of-range parameter."""
+        """Raise ParseError naming the first parameter of a wrong type or
+        out of range, so that every config it passes runs and yields a
+        report that fits ``report_schema.json``."""
+        if not isinstance(self.input_path, str):
+            raise ParseError(f"input_path must be a str, got {self.input_path!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ParseError(f"out_dir must be a path, got {self.out_dir!r}")
         if self.fmt not in FORMATS:
             raise ParseError(f"unknown format {self.fmt!r}")
         try:
@@ -85,6 +91,10 @@ class PipelineConfig:
             clope.check_repulsion(self.repulsion)
             clope.check_max_passes(self.max_passes)
             ingest.check_limit(self.limit)
+            if self.seed is not None:
+                check_int("seed", self.seed)
+            if not isinstance(self.raw_band, bool):
+                raise ValueError(f"raw_band must be a bool, got {self.raw_band!r}")
             if self.manual_lower is not None or self.manual_upper is not None:
                 ManualBand(self.manual_lower, self.manual_upper)
         except ValueError as exc:  # ParseError included
@@ -128,11 +138,16 @@ def _band_from_config(db: TransactionDatabase,
     return band, hist
 
 
-def write_assignment_csv(clustering: clope.Clustering, path: Path) -> None:
+def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
+    """Write the ``header`` line, then one ``a,b`` line per pair in ``rows``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tid,cluster_id\n")
-        for tid, cid in enumerate(clustering.assignment):
-            fh.write(f"{tid},{cid}\n")
+        fh.write(header + "\n")
+        for a, b in rows:
+            fh.write(f"{a},{b}\n")
+
+
+def write_assignment_csv(clustering: clope.Clustering, path: Path) -> None:
+    _write_csv(path, "tid,cluster_id", enumerate(clustering.assignment))
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -229,7 +244,7 @@ def cmd_stats(config: PipelineConfig, args: argparse.Namespace) -> int:
     hist = item_frequencies(db)
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_histogram_csv(hist, out_dir / "histogram.csv")
+    _write_csv(out_dir / "histogram.csv", "frequency,count", hist.marginal)
     freqs = sorted(hist.per_item.values())
     print(f"transactions: {db.n}")
     print(f"distinct_items: {db.m}")
@@ -330,7 +345,7 @@ def cmd_synth(spec: synth.SyntheticSpec, args: argparse.Namespace) -> int:
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_transactions(db, out_dir / "synthetic.tsv", args.delimiter)
-    synth.write_labels_csv(labels, out_dir / "labels.csv")
+    _write_csv(out_dir / "labels.csv", "tid,planted_cluster", enumerate(labels))
     print(f"transactions: {db.n}")
     print(f"distinct_items: {db.m}")
     print(f"written: {out_dir / 'synthetic.tsv'}, {out_dir / 'labels.csv'}")
@@ -413,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     unchanged, and each build would leave a few hundred objects of cyclic
     garbage behind. Each option's destination names the field it fills,
     and its default is that field's: SyntheticSpec's for ``synth``'s
-    generator options, PipelineConfig's for every other option."""
+    generator options, PipelineConfig's for every other option.
+    ``usage_error`` is the subcommand parser's ``error``."""
     parser = argparse.ArgumentParser(
         prog="txcleanse",
         description="Frequency-band cleansing and profit-driven clustering "
@@ -434,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_input_options(sub)
         for add in add_options:
             add(sub)
-        sub.set_defaults(func=func, **config)
+        sub.set_defaults(func=func, usage_error=sub.error, **config)
 
     sub = commands.add_parser("synth", help="generate a labeled synthetic database")
     sub.add_argument("--transactions", type=int)
@@ -453,19 +469,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int)
     sub.add_argument("--delimiter", type=_delimiter)
     sub.add_argument("--out-dir", type=Path)
-    sub.set_defaults(func=cmd_synth, **_defaults(synth.SyntheticSpec),
+    sub.set_defaults(func=cmd_synth, usage_error=sub.error, **_defaults(synth.SyntheticSpec),
                      delimiter=config["delimiter"], out_dir=config["out_dir"])
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         params = _params_from_args(args)
     except ValueError as exc:  # ParseError included
-        parser.error(str(exc))
+        # the subcommand's usage, as argparse prints for its own errors
+        args.usage_error(str(exc))
     try:
         return args.func(params, args)
     except EmptyInputError as exc:

@@ -1,4 +1,5 @@
-"""CLOPE-style profit-maximizing transaction clustering.
+"""CLOPE-style profit-maximizing transaction clustering (Yang, Guan & You,
+KDD 2002).
 
 Each cluster is summarized by three sufficient statistics: total item
 occurrences S, distinct item count (width) W, and member count N. A
@@ -14,64 +15,92 @@ moves nothing. Every placement follows one rule: its home (the cluster it
 just left, none in pass 0) is the baseline and wins ties; other clusters,
 scanned in ascending id, take over only on a strictly greater
 profit-numerator delta (``delta_add``); a fresh cluster wins only if
-strictly better than all of them. An emptied home stays in the scan,
-so a singleton keeps its id and is not moved. Identical inputs thus yield
-identical clusterings.
+strictly better than all of them. An emptied home stays in the scan, so a
+singleton keeps its id and is not moved. Identical inputs thus yield
+identical clusterings. ``delta_add``, ``ClusterSummary``, ``profit`` and
+``brute_force_best`` stay as the oracles the tests hold the kernel to.
 
-Placement does not call ``delta_add`` per cluster. An inverted index
-``item -> {cluster: count}`` gives the clusters that share an item with the
-transaction and their overlaps, and ``pw[w] == w**r`` is a table over widths
-up to the item count (a width whose power overflows takes ``_gain``'s
-exp/log path). An index row holds only live clusters; one that holds more
-than half of the k of them (a near-ubiquitous item's, say) is dense, and
-the others are sparse. A cluster that meets a transaction of size s in each
-of its dense rows and in none of its q sparse ones offers a delta that
-depends only on s and the width q it adds; those deltas are kept per (s, q)
-in a column indexed by cluster id once a placement needs them, and each
-column's maximum is cached and kept up to date as clusters change. So a
-placement scores one by one only the clusters that meet one of its sparse
-rows or miss one of its dense rows, as ``(S+s) / pw[W+q-o] * (N+1) - G``
-with G the cluster's current gain and o its overlap with the sparse rows
-less the dense rows it misses, and reads all others through one column
-maximum. The clusters a dense row misses are kept up to date, so it costs
-what it misses, not what it holds; a full row misses none. A cluster that
-misses a dense row may have a column entry above its delta, so those
-clusters are held out of the column maximum with the home. A placement
-rescans the column when the cached maximum fell or left, or is held out.
-Before that column, a placement with q > 0 reads the maximum of column
-(s, q-1). A cluster of overlap 1 offers exactly its entry there, and one of
-overlap 0 or less at most its entry, being wider, so that maximum bounds
-every cluster of overlap at most 1, scored or not, the home and the
-held-out ones included. When it is below both the home's delta and a
-fresh cluster's, none of them can win or tie: the placement scores only
-the clusters of overlap 2 or more and reads no other column.
+``_Placer`` makes the same choices without calling ``delta_add`` per
+cluster, through the shortcuts below. Each is exact: every delta it
+computes is the float ``delta_add`` gives, and every cluster it skips can
+neither win nor tie.
 
-A placement re-scores only what changed since the transaction's last one.
-The placer logs the id of the cluster each add and remove changes, and
-each transaction keeps the log's length and the delta that won right after
-its last placement. A cluster unchanged since offers the same delta as
-then, which was at most the winning one, and a fresh cluster's delta is
-constant. So if the log has not grown, the transaction stays in O(1). While
-its home offers at least the delta that won, no unchanged cluster can take
-it: an unchanged home offers exactly that delta (a winning join ``(S+s) /
-pw[W'] * (N+1) - G`` is bit for bit the home's later ``G' - _gain(S, W,
-N)``), and the home wins ties. Then, if the log grew by g < k entries (k
-the live clusters), only the clusters in the set of its last g ids that
-meet a sparse row or miss a dense row are scored, besides the column
-read; if it grew by k or more, every such cluster is, which is as exact and
-skips the sifting. A placement thus costs O(1) when nothing changed, O(s +
-g + sum over its sparse rows of min(row, g) + misses of its dense rows)
-while its home holds and g < k, and O(s + entries of its sparse rows +
-misses of its dense rows) otherwise, plus O(ids added so far) per column
-it rescans. A bounded placement still counts the overlaps over those rows
-but computes a delta only for the clusters of overlap 2 or more, and never
-rescans for a held-out maximum. A pass adds one delta per column for each
-cluster change, and one set update per kept dense row for each cluster
-that joins or leaves it, is born or dies. Every delta is bit-identical to
-``delta_add``'s. The index, one row per item id, is the only occurrence
-map: ``Clustering.clusters`` is read off it once, and each pass's profit
-sums the gains G the placer keeps. ``delta_add``, ``ClusterSummary`` and
-``profit`` stay as the oracles the tests compare the kernel against.
+Tables. ``pw[w] == w**r`` for each width up to the item count m, or up to
+the first power that overflows a float; a width past the table takes
+``_gain``, as ``delta_add`` does. ``fresh[s]`` is a fresh cluster's delta
+``_gain(s, s, 1)`` for each size s up to m. Both hold the very floats the
+formula gives.
+
+Index. ``index[item]`` maps each live cluster holding the item to its count
+there, so a transaction's rows give the clusters that share an item with it
+and their overlaps. It is the only occurrence map: each pass's profit sums
+the gains G the placer keeps, in ascending id as ``profit`` sums them, and
+``Clustering.clusters`` is read off the index once.
+
+Dense-row complements. A row that holds more than half of the k live
+clusters is dense, the others sparse. A dense row is read by the set of
+live clusters it misses, kept from its first read on: ``add`` and
+``remove`` update it where the row gains or loses a cluster and when a
+cluster is born or dies, and drop it once the row is no longer dense, so it
+always equals the complement, and a dense row costs what it misses, not
+what it holds.
+
+Columns and cached tops. Let transaction t of size s have q sparse rows. A
+cluster that meets each of its dense rows and none of its sparse ones
+widens by q and offers ``(S+s) / pw[W+q] * (N+1) - G``, which depends on t
+only through (s, q). Column (s, q), opened by the first placement that
+needs it, keeps that value per cluster id and is refreshed whenever a
+cluster changes; ids are never reused, so a deleted cluster's entry is
+-inf. Each column caches the id of its first maximum; an update that raises
+an entry above it, or to it at a lower id, takes it over, one that lowers
+the top's entry or deletes its cluster makes it unknown, and a read
+rescans only then. A placement scores one by one, as ``(S+s) / pw[W+q-o] *
+(N+1) - G``, only the clusters that meet a sparse row or miss a dense row,
+o being a cluster's overlap with the sparse rows less the dense rows it
+misses. Every other cluster's entry is its exact delta, so the column
+maximum stands for all of them.
+
+Hold-out. Overlap in the sparse rows only narrows the width, so the entry
+of a scored cluster that misses no dense row is at most its delta: a
+column maximum above the best scored delta is an unscored cluster's, and
+one equal to it is first held by a cluster whose delta equals it, so the
+lower id wins the tie as the scan would. The entry of a cluster that misses
+a dense row, and the home's (t counted twice), may exceed its delta, so
+those are held out of the maximum when the cached top is one of them, and
+that rescan is not cached.
+
+Overlap bound. When q > 0, the placement first reads the maximum B of
+column (s, q-1). A cluster of overlap 1 offers exactly its entry there, the
+same expression, and one of overlap 0 or less at most its entry, being
+wider, since ``pw`` grows with width and IEEE ``/``, ``*`` and ``-`` are
+monotone. So B bounds every cluster of overlap at most 1, scored, held out
+or not. When B is strictly below both the home's delta and a fresh
+cluster's, none of them can win or tie: only clusters of overlap 2 or more
+are scored, and column (s, q) is not read.
+
+Stay. The placer logs the id of the cluster each add and remove changes,
+and each transaction keeps the log's length and the delta that won right
+after its last placement. A cluster unchanged since offers the same delta
+as then, which was at most the winning one, and a fresh cluster's delta is
+constant. An unchanged home offers exactly the delta that won: a winning
+join ``(S+s) / pw[W'] * (N+1) - G`` is bit for bit the home's later
+``G' - _gain(S, W, N)``. So if the log has not grown, t stays in O(1).
+
+Sifting. While the home offers at least the delta that won, no unchanged
+cluster can take t, since the home wins ties. Then, if the log grew by g < k
+entries, only the clusters among its last g ids that meet a sparse row or
+miss a dense one are scored. In the column read, an unchanged cluster that
+is not held out has an entry at most its delta, so when it tops the column
+the home keeps t. If the log grew by k or more entries, sifting would save
+little, and every such cluster is scored, which is as exact.
+
+Cost. A placement costs O(1) when nothing changed, O(s + g + sum over its
+sparse rows of min(row, g) + misses of its dense rows) while its home holds
+and g < k, and O(s + entries of its sparse rows + misses of its dense rows)
+otherwise, plus O(ids added so far) per column it rescans. Each cluster
+change adds one delta per open column, and one set update per kept dense
+row that the cluster joins or leaves, or per kept row when it is born or
+dies.
 """
 
 from __future__ import annotations
@@ -84,7 +113,7 @@ from collections import _count_elements
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .core import ItemId, Transaction, TransactionDatabase, check_int
+from .core import ItemId, Transaction, TransactionDatabase, check_int, check_number
 
 # Relative slack for float comparisons of recomputed profits.
 PROFIT_RTOL = 1e-9
@@ -96,6 +125,7 @@ _DENSE_SHIFT = 1
 
 # The range checks of CLOPE's parameters; the CLI validates with them.
 def check_repulsion(repulsion: float) -> None:
+    check_number("repulsion", repulsion)
     if not (repulsion > 0 and math.isfinite(repulsion)):
         raise ValueError("repulsion must be finite and > 0")
 
@@ -211,13 +241,14 @@ class Clustering:
     ``assignment[tid]`` is the dense cluster id (renumbered by smallest
     member tid); ``profit_per_pass`` starts with the add-phase profit and
     appends one value per refinement pass; ``profit`` is its last entry.
-    ``placements_per_pass[i]`` counts the placements of pass i that scored
-    every cluster meeting one of the transaction's sparse index rows or
-    missing one of its dense ones because it had no earlier placement (all
-    n in pass 0) or its home's delta fell below the one that won it. A
-    placement whose change log grew by k or more entries since its last one
-    also scores every such cluster but is not counted; the others scored
-    only the clusters changed since, or none.
+    ``moves_per_pass[i]`` counts the transactions refinement pass i + 1
+    moved. ``placements_per_pass[i]`` counts the placements of pass i that
+    scored every cluster meeting a sparse index row or missing a dense one
+    because the transaction had no earlier placement (all n in pass 0) or
+    its home's delta fell below the one that won it. A placement whose
+    change log grew by k or more entries since also scores every such
+    cluster but is not counted; the others stayed in O(1) or scored only
+    the clusters changed since.
     """
 
     assignment: list[int]
@@ -249,56 +280,32 @@ def _powers(size: int, r: float) -> list:
 
 
 class _Placer:
-    """Incremental CLOPE state and the placement rule over it.
+    """Incremental CLOPE state and the placement rule over it (see the
+    module docstring for why each shortcut is exact).
 
-    ``index[item]``, one row per item id, maps each cluster holding ``item``
-    to its count there, so the clusters sharing an item with a transaction,
-    and their overlaps with it, come from its items' rows alone;
-    ``summaries()`` reads ClusterSummary objects off it. ``stats[cid]`` is
-    ``(S, W, N + 1, G)`` of each live cluster in ascending id, G its current
-    gain, which ``profit()`` sums. A row holds only live clusters, since a
-    cluster leaves a row when its count there reaches 0. A row of more than
-    ``len(stats) >> _DENSE_SHIFT`` entries is dense, and ``missing[item]``
-    is the set of live clusters that dense row ``index[item]`` lacks, kept
-    from the first placement that reads the row on: ``add`` and ``remove``
-    update it where the row gains or loses a cluster and on a cluster's
-    birth and death, and drop it once the row is no longer dense.
-
-    A transaction t of size s with q sparse rows adds q to the width of a
-    cluster that meets each of its dense rows and none of its sparse ones,
-    which thus offers ``(S+s) / pw[W+q] * (N+1) - G``. So
-    ``disjoint[(s, q)][cid]`` keeps that delta for every live cluster, from
-    the first placement that reads the column on, refreshed whenever the
-    cluster changes, and its maximum replaces scoring those clusters one by
-    one. Column ``(s, q-1)`` holds the exact delta of each cluster of
-    overlap 1 with t (its overlap with the sparse rows less the dense rows
-    it misses) and bounds those of lesser overlap, so ``best`` reads its
-    maximum first and scores none of them when that is below both the
-    home's delta and a fresh cluster's, ``fresh[s]``. A fresh cluster takes
-    the id ``next_id``, the number of ids added so far, and a deleted id is
-    never reused, so a column has one entry per id, -inf at a deleted one.
-    ``tops[(s, q)]`` is the id of the column's first maximum, or -1 when
-    unknown: ``best`` rescans a column only then, and each update keeps it
-    exact. It becomes -1 when its own entry falls or its cluster is
-    deleted, and passes to a cluster whose new entry is greater, or equal
-    at a lower id.
-
-    ``changes`` logs the id of the cluster each ``add`` and ``remove``
-    changes, so the clusters changed since a transaction's last placement
-    are the ids in ``changes[since:]``, ``since`` the log's length then.
-    ``scored`` counts the placements that scored every cluster meeting a
-    sparse row or missing a dense row because t had no earlier placement or
-    its home offers less than ``won``; one whose log grew by k or more
-    entries scores them all too, but is not counted.
+    - ``pw[w] == w**r`` and ``fresh[s] == _gain(s, s, 1)``;
+    - ``index[item]`` maps each live cluster holding ``item`` to its count;
+    - ``stats[cid]`` is ``(S, W, N + 1, G)`` of each live cluster, in
+      ascending id, G its gain;
+    - ``missing[item]`` is the set of live clusters that dense row
+      ``index[item]`` lacks, for rows read since they last became dense;
+    - ``disjoint[(s, q)][cid]`` is ``(S+s) / pw[W+q] * (N+1) - G`` of each
+      live cluster, -inf at a deleted id;
+    - ``tops[(s, q)]`` is the id of that column's first maximum, or -1;
+    - ``next_id`` is the number of ids handed out, the next fresh id;
+    - ``changes`` logs the id of the cluster each ``add`` and ``remove``
+      changes;
+    - ``scored`` counts the placements ``Clustering.placements_per_pass``
+      counts.
     """
 
     def __init__(self, m: int, repulsion: float) -> None:
         self.r = repulsion
         # widths never exceed m; wider or overflowing ones take _gain's path
         self.pw = _powers(m + 1, repulsion)
-        # a fresh cluster's delta per transaction size s: _delta(s, s, 1,
-        # 0.0) is s / pw[s] * 1 - 0.0, which is s / pw[s]
+        # a fresh cluster's delta per transaction size s, _gain(s, s, 1)
         self.fresh = [s / p if s else 0.0 for s, p in enumerate(self.pw)]
+        self.fresh += [_gain(s, s, 1, repulsion) for s in range(len(self.pw), m + 1)]
         self.index: list[dict[int, int]] = [{} for _ in range(m)]
         self.stats: dict[int, tuple[int, int, int, float]] = {}
         self.disjoint: dict[tuple[int, int], list[float]] = {}
@@ -308,50 +315,21 @@ class _Placer:
         self.changes: list[int] = []
         self.scored = 0
 
-    def _delta(self, occurrences: int, width: int, members: int, gain: float) -> float:
-        """``_gain(occurrences, width, members) - gain``, through the table."""
-        try:
-            return occurrences / self.pw[width] * members - gain
-        except IndexError:
-            return _gain(occurrences, width, members, self.r) - gain
-
     def best(self, items: tuple[ItemId, ...], home: int | None = None,
              since: int = -1, won: float = 0.0) -> tuple[int | None, float]:
         """The id of the cluster that transaction t, whose row is ``items``,
         should join, or None for a fresh one, and the delta that won.
 
-        ``home``, the cluster that holds ``t`` in refinement, is the baseline
+        ``home``, the cluster that holds t in refinement, is the baseline
         and wins ties; among the other clusters the greatest delta wins, and
         the lowest id among equal ones; a fresh cluster must beat them all.
-        These are exactly the choices of scanning delta_add over the clusters
-        in ascending id, with ``t`` taken out of its home, and taking over
-        only on a strictly greater delta.
-
-        Only the clusters that meet one of the q sparse rows of t's s or
-        miss one of its dense rows are scored, and all others are read
-        through the maximum of column ``(s, q)``: O(entries of the sparse
-        rows + misses of the dense ones). The home's own entry and those of
-        the clusters that miss a dense row are held out of that maximum.
-        When q > 0, the maximum of column ``(s, q-1)`` is read first: it
-        bounds every cluster of overlap at most 1, and when it is below both
-        the home's delta and a fresh cluster's, only the clusters of overlap
-        2 or more are scored and column ``(s, q)`` is not read.
-
         ``since`` is ``len(changes)`` right after t's last placement, which
-        put it in ``home`` with delta ``won``, or -1 if there was none. Every
-        cluster unchanged since offers what it offered then, which was no
-        more. If nothing has changed, t stays in O(1). Otherwise, while the
-        home offers at least ``won``, no unchanged cluster can take t, and
-        only the changed ones need scoring (see the module docstring).
+        put it in ``home`` with delta ``won``, or -1 if there was none.
         """
         if since == len(self.changes):
             return home, won
         s = len(items)
-        try:
-            fresh = self.fresh[s]
-        except IndexError:
-            # s**r overflows a float
-            fresh = _gain(s, s, 1, self.r)
+        fresh = self.fresh[s]
         stats = self.stats
         k = len(stats)
         if not k:
@@ -385,16 +363,13 @@ class _Placer:
             if home_delta > floor:
                 floor = home_delta
         q = len(sparse)
+        shared, missed = sparse, gaps
         if since < 0:
             self.scored += 1
-            shared, missed = sparse, gaps
         elif len(self.changes) - since < k:
             changed = set(self.changes[since:])
             shared = [row.keys() & changed for row in sparse]
-            missed = [gap & changed for gap in gaps] if gaps else gaps
-        else:
-            # a log tail of k or more ids: sifting would save little
-            shared, missed = sparse, gaps
+            missed = [gap & changed for gap in gaps]
         # overlaps in the sparse rows less the dense rows missed, for the
         # clusters to score
         ov: dict[int, int] = {}
@@ -403,10 +378,8 @@ class _Placer:
             for cid in gap:
                 ov[cid] = ov.get(cid, 0) - 1
         ov.pop(home, None)
-        # Column (s, q-1) holds the delta of each cluster of overlap 1 and
-        # bounds those of lesser overlap, home and held-out ones included:
-        # below the floor, none of them can win or tie, and only the
-        # clusters of overlap 2 or more are scored.
+        # the overlap bound: below the floor, column (s, q-1) rules out every
+        # cluster of overlap at most 1
         bounded = False
         if q:
             column, top_cid = self._column(s, q - 1)
@@ -425,30 +398,20 @@ class _Placer:
                 best, best_cid = d, cid
 
         if not bounded:
-            # Overlap in the sparse rows only narrows the width, so the
-            # column entry of a scored cluster that misses no dense row is
-            # at most its exact delta. With the clusters that miss one held
-            # out, a column maximum above ``best`` is therefore an unscored
-            # cluster's delta, and one equal to ``best`` is first held by a
-            # cluster whose exact delta equals ``best``: the lowest id among
-            # them wins the tie. (An unscored unchanged cluster's entry is at
-            # most the home's delta, so when it tops the column the home
-            # keeps t.)
+            # every unscored cluster through the column maximum
             column, top_cid = self._column(s, q)
             top = column[top_cid]
             if top_cid == home or gaps and any(top_cid in gap for gap in gaps):
-                # The cached top is the home's own entry or one that may be
-                # above its cluster's delta: the maximum is read with all of
-                # those held out, and is not cached.
-                held = [cid for gap in gaps for cid in gap]
+                # the hold-out: an uncached rescan without the entries that
+                # may exceed their clusters' deltas
+                held = {cid: column[cid] for gap in gaps for cid in gap}
                 if home is not None:
-                    held.append(home)
-                kept = list(map(column.__getitem__, held))
+                    held[home] = column[home]
                 for cid in held:
                     column[cid] = -math.inf
                 top = max(column)
                 top_cid = column.index(top)
-                for cid, d in zip(held, kept):
+                for cid, d in held.items():
                     column[cid] = d
             if top > -math.inf and (top > best or top == best and top_cid < best_cid):
                 best, best_cid = top, top_cid
@@ -465,8 +428,12 @@ class _Placer:
         column = self.disjoint.get(key)
         if column is None:
             column = self.disjoint[key] = [-math.inf] * self.next_id
+            pw = self.pw
             for cid, (S, W, N1, G) in self.stats.items():
-                column[cid] = self._delta(S + s, W + q, N1, G)
+                try:
+                    column[cid] = (S + s) / pw[W + q] * N1 - G
+                except IndexError:
+                    column[cid] = _gain(S + s, W + q, N1, self.r) - G
             self.tops[key] = -1
         top_cid = self.tops[key]
         if top_cid < 0:

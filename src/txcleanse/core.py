@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -27,6 +28,15 @@ def check_int(name: str, value: object) -> None:
     bool is not a count)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def check_number(name: str, value: object) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int or a
+    float (a bool is not a number) that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must fit a float, got an int of {value.bit_length()} bits")
 
 
 def normalize_item(raw: str) -> str:

@@ -72,7 +72,9 @@ def check_limit(limit: int | None) -> None:
 
 def check_delimiter(delimiter: str) -> None:
     """Raise ``ParseError`` unless ``delimiter`` can separate the items of
-    one line: it must be non-empty and hold no line break."""
+    one line: it must be a non-empty str and hold no line break."""
+    if not isinstance(delimiter, str):
+        raise ParseError(f"delimiter must be a str, got {delimiter!r}")
     if not delimiter or "\n" in delimiter or "\r" in delimiter:
         raise ParseError(f"delimiter must be non-empty and hold no line break, got {delimiter!r}")
 

@@ -77,12 +77,4 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[TransactionDatabase, list[i
     return builder.build(), labels
 
 
-def write_labels_csv(labels: list[int], path) -> None:
-    """Ground-truth export: ``tid,planted_cluster`` per transaction."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tid,planted_cluster\n")
-        for tid, cluster in enumerate(labels):
-            fh.write(f"{tid},{cluster}\n")
-
-
-__all__ = ["SyntheticSpec", "generate_synthetic", "write_labels_csv"]
+__all__ = ["SyntheticSpec", "generate_synthetic"]

@@ -356,7 +356,8 @@ def test_fits_sum_left_to_right():
         assert [v.hex() for v in values] == expected, kind
 
 
-@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf, True, "5",
+                               pytest.param(2**1024, id="2**1024")])
 def test_non_positive_or_non_finite_s_rejected(s):
     with pytest.raises(ValueError):
         Band.from_fit("exponential", 1.0, 1.0, s)
@@ -375,6 +376,7 @@ def test_non_finite_moments_rejected(kind, mu_hat, sigma_hat):
 
 @pytest.mark.parametrize("lower, upper", [
     (math.nan, 3.0), (1.0, math.nan), (50.0, 3.0), (math.inf, math.inf), (-math.inf, 3.0),
+    (True, 5.0), (1.0, "5"), pytest.param(2**1024, math.inf, id="2**1024-inf"),
 ])
 def test_manual_band_rejects_bad_endpoints(lower, upper):
     with pytest.raises(ValueError):

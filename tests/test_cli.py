@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_pipeline_reports
+from conftest import REPORT_VALIDATOR, check_pipeline_reports
 from txcleanse import (ManualBand, ParseError, SyntheticSpec, cleanse, generate_synthetic, ingest,
                        parse_transactions, serialize_transactions)
 from txcleanse.cli import (_params_from_args, build_parser, load_database, load_report_schema,
@@ -661,11 +661,78 @@ def test_synth_usage_error_names_the_flag(tmp_path, capsys, flags, named):
 def test_config_validation_rejects_non_finite_values(tmp_path):
     from txcleanse.core import ParseError
 
-    for fields in ({"s": float("nan")}, {"repulsion": float("inf")},
+    for fields in ({"s": float("nan")}, {"repulsion": float("inf")}, {"s": 2**1024},
                    {"manual_lower": 5.0, "manual_upper": 2.0}):
         config = PipelineConfig(input_path="<memory>", out_dir=tmp_path, **fields)
         with pytest.raises(ParseError):
             config.validate()
+
+
+# (fields that differ from the defaults, text the refusal names the field by)
+WRONG_TYPES = [
+    ({"input_path": Path("in.tsv")}, "input_path must be a str"),
+    ({"out_dir": 3}, "out_dir must be a path, got 3"),
+    ({"delimiter": b"\t"}, "delimiter must be a str"),
+    ({"s": True}, "s must be a number, got True"),
+    ({"s": "5"}, "s must be a number, got '5'"),
+    ({"repulsion": True}, "repulsion must be a number, got True"),
+    ({"seed": 1.5}, "seed must be an int, got 1.5"),
+    ({"seed": "7"}, "seed must be an int, got '7'"),
+    ({"seed": True}, "seed must be an int, got True"),
+    ({"raw_band": "no"}, "raw_band must be a bool, got 'no'"),
+    ({"raw_band": 1}, "raw_band must be a bool, got 1"),
+    ({"manual_lower": True, "manual_upper": 5}, "manual band lower endpoint must be a number"),
+    ({"manual_lower": 1, "manual_upper": "5"}, "manual band upper endpoint must be a number"),
+]
+
+@pytest.mark.parametrize("fields, named", WRONG_TYPES,
+                         ids=[",".join(f"{k}={v!r}" for k, v in f.items()) for f, _ in WRONG_TYPES])
+def test_config_refuses_a_wrong_type_by_name(tmp_path, fields, named):
+    config = PipelineConfig(**{"input_path": "in.tsv", "out_dir": tmp_path / "out", **fields})
+    with pytest.raises(ParseError, match=re.escape(named)):
+        config.validate()
+
+
+def test_every_accepted_config_reports_to_the_schema(noise1_file, tmp_path):
+    # Each field but input_path takes each value of the pool in turn, the
+    # other endpoint of a manual band being fixed: validate either refuses
+    # the config naming the field, or the pipeline runs it to a report that
+    # fits the schema.
+    pool = [None, True, False, 0, 1, 2, -1, 0.5, 1.5, 2.0, math.inf, math.nan,
+            "", "7", "no", "exponential", "keywords", b"\t", Path("x")]
+    names = {"fmt": "format", "s": "band multiplier s", "manual_lower": "lower",
+             "manual_upper": "upper"}
+    other_end = {"manual_lower": {"manual_upper": 10.0}, "manual_upper": {"manual_lower": 1.0}}
+    accepted = 0
+    for field in dataclasses.fields(PipelineConfig):
+        if field.name in ("input_path", "out_dir"):
+            continue
+        for i, value in enumerate(pool):
+            out = tmp_path / f"{field.name}-{i}"
+            config = PipelineConfig(input_path=str(noise1_file), out_dir=out,
+                                    **{field.name: value, **other_end.get(field.name, {})})
+            try:
+                config.validate()
+            except ParseError as exc:
+                assert names.get(field.name, field.name) in str(exc), (field.name, value)
+                continue
+            run_pipeline(config)
+            REPORT_VALIDATOR.validate(json.loads((out / "pipeline_report.json").read_text("utf-8")))
+            accepted += 1
+    assert accepted == 40
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["cluster", "in.tsv", "--repulsion", "0"], "repulsion must be finite and > 0"),
+    (["pipeline", "in.tsv", "--lower", "5", "--upper", "2"], "manual band needs"),
+    (["synth", "--picks", "30"], "picks_per_transaction (--picks) must be"),
+])
+def test_usage_error_shows_the_subcommand_usage(capsys, argv, error):
+    # as argparse's own errors do, e.g. for --repulsion abc
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: txcleanse {argv[0]} [-h]")
+    assert f"\ntxcleanse {argv[0]}: error: {error}" in err
 
 
 def test_unknown_format_is_refused_by_the_config_and_the_loader(noise1_file):

@@ -174,6 +174,14 @@ class TestClopeCluster:
         with pytest.raises(ValueError, match="max_passes must be an int"):
             clope_cluster(database_from_items([["a"]]), 1.5, max_passes)
 
+    def test_profit_decrease_across_a_pass_is_refused(self, monkeypatch):
+        # The kernel's profits never fall; if the placer's did, the run must
+        # stop rather than report a falling sequence.
+        profits = iter([2.0, 1.0])
+        monkeypatch.setattr(_Placer, "profit", lambda self, n: next(profits))
+        with pytest.raises(RuntimeError, match=r"profit decreased across pass 1: 2.0 -> 1.0"):
+            clope_cluster(letters_db("ab", "cd"), 1.5)
+
     def test_empty_transaction_rejected(self):
         db = TransactionDatabase(("a",), ((0,), ()), (None, None))
         with pytest.raises(ValueError, match="transaction 1 is empty"):
@@ -1044,7 +1052,8 @@ class TestBruteForce:
             assert result.profit <= best * (1 + 1e-9) + 1e-12
 
 
-@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, True, "1.5",
+                               pytest.param(2**1024, id="2**1024")])
 def test_non_positive_or_non_finite_repulsion_rejected(r):
     db = letters_db("ab", "bc")
     with pytest.raises(ValueError, match="repulsion"):
