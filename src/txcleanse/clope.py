@@ -26,10 +26,12 @@ computes is the float ``delta_add`` gives, and every cluster it skips can
 neither win nor tie.
 
 Tables. ``pw[w] == w**r`` for each width up to the item count m, or up to
-the first power that overflows a float; a width past the table takes
-``_gain``, as ``delta_add`` does. ``fresh[s]`` is a fresh cluster's delta
-``_gain(s, s, 1)`` for each size s up to m. Both hold the very floats the
-formula gives.
+the first power that overflows a float. A width past the table takes
+``_gain``'s formula, as ``delta_add`` does, with the width's power, or
+``r * log(w)`` where the power overflows, kept in ``past`` from its first
+use, so no score raises an exception. ``fresh[s]`` is a fresh cluster's
+delta ``_gain(s, s, 1)`` for each size s up to m. All hold the very floats
+the formula gives.
 
 Index. ``index[item]`` maps each live cluster holding the item to its count
 there, so a transaction's rows give the clusters that share an item with it
@@ -284,6 +286,8 @@ class _Placer:
     module docstring for why each shortcut is exact).
 
     - ``pw[w] == w**r`` and ``fresh[s] == _gain(s, s, 1)``;
+    - ``past[w]`` is ``(w**r, None)``, or ``(None, r * log(w))`` where
+      ``w**r`` overflows, for each width past ``pw`` used so far;
     - ``index[item]`` maps each live cluster holding ``item`` to its count;
     - ``stats[cid]`` is ``(S, W, N + 1, G)`` of each live cluster, in
       ascending id, G its gain;
@@ -301,11 +305,13 @@ class _Placer:
 
     def __init__(self, m: int, repulsion: float) -> None:
         self.r = repulsion
-        # widths never exceed m; wider or overflowing ones take _gain's path
+        # clusters are never wider than m; wider or overflowing widths take
+        # _gain_past
         self.pw = _powers(m + 1, repulsion)
         # a fresh cluster's delta per transaction size s, _gain(s, s, 1)
         self.fresh = [s / p if s else 0.0 for s, p in enumerate(self.pw)]
         self.fresh += [_gain(s, s, 1, repulsion) for s in range(len(self.pw), m + 1)]
+        self.past: dict[int, tuple] = {}
         self.index: list[dict[int, int]] = [{} for _ in range(m)]
         self.stats: dict[int, tuple[int, int, int, float]] = {}
         self.disjoint: dict[tuple[int, int], list[float]] = {}
@@ -386,14 +392,16 @@ class _Placer:
             bounded = column[top_cid] < floor
         best_cid, best = None, -math.inf
         pw = self.pw
+        npw = len(pw)
         for cid, o in ov.items():
             if bounded and o < 2:
                 continue
             S, W, N1, G = stats[cid]
-            try:
-                d = (S + s) / pw[W + q - o] * N1 - G
-            except IndexError:
-                d = _gain(S + s, W + q - o, N1, self.r) - G
+            w = W + q - o
+            if w < npw:
+                d = (S + s) / pw[w] * N1 - G
+            else:
+                d = self._gain_past(S + s, w, N1) - G
             if d > best or d == best and cid < best_cid:
                 best, best_cid = d, cid
 
@@ -429,11 +437,13 @@ class _Placer:
         if column is None:
             column = self.disjoint[key] = [-math.inf] * self.next_id
             pw = self.pw
+            npw = len(pw)
             for cid, (S, W, N1, G) in self.stats.items():
-                try:
-                    column[cid] = (S + s) / pw[W + q] * N1 - G
-                except IndexError:
-                    column[cid] = _gain(S + s, W + q, N1, self.r) - G
+                w = W + q
+                if w < npw:
+                    column[cid] = (S + s) / pw[w] * N1 - G
+                else:
+                    column[cid] = self._gain_past(S + s, w, N1) - G
             self.tops[key] = -1
         top_cid = self.tops[key]
         if top_cid < 0:
@@ -513,13 +523,15 @@ class _Placer:
         G = _gain(S, W, N1 - 1, self.r)
         self.stats[cid] = (S, W, N1, G)
         pw = self.pw
+        npw = len(pw)
         tops = self.tops
         for key, column in self.disjoint.items():
             s, q = key
-            try:
-                d = (S + s) / pw[W + q] * N1 - G
-            except IndexError:
-                d = _gain(S + s, W + q, N1, self.r) - G
+            w = W + q
+            if w < npw:
+                d = (S + s) / pw[w] * N1 - G
+            else:
+                d = self._gain_past(S + s, w, N1) - G
             top = tops[key]
             if top == cid:
                 if d < column[cid]:
@@ -527,6 +539,21 @@ class _Placer:
             elif top >= 0 and (d > column[top] or d == column[top] and cid < top):
                 tops[key] = cid
             column[cid] = d
+
+    def _gain_past(self, occurrences: int, width: int, members: int) -> float:
+        """``_gain(occurrences, width, members, r)`` for a width past ``pw``
+        and members > 0. Each such width's ``width**r``, or ``r * log(width)``
+        where the power overflows, is computed once and kept in ``past``."""
+        past = self.past.get(width)
+        if past is None:
+            try:
+                past = self.past[width] = width**self.r, None
+            except OverflowError:
+                past = self.past[width] = None, self.r * math.log(width)
+        power, log_power = past
+        if log_power is None:
+            return occurrences / power * members
+        return math.exp(math.log(occurrences) - log_power + math.log(members))
 
     def profit(self, n: int) -> float:
         """Gains summed left to right in ascending id, over n, as ``profit`` sums."""

@@ -79,7 +79,8 @@ class TransactionDatabase:
 
     The constructor refuses, with ``ValueError`` naming the row, a row that
     is not strictly increasing or holds an id outside ``0..m-1``, and
-    ``labels`` of another length than ``rows``.
+    ``labels`` of another length than ``rows``. ``DatabaseBuilder.build``,
+    whose rows pass by construction, makes its database without that check.
     """
 
     strings: tuple[str, ...]
@@ -149,16 +150,19 @@ class DatabaseBuilder:
 
         The dictionary's keys are normalized strings, and ``normalize_item``
         is idempotent, so a raw item that already is a key normalizes to
-        itself and keeps that key's id. When every raw item is a key, those
-        ids are final. Otherwise only the raw items that are not keys are
-        normalized, and new items are interned in input order; since ``""``
-        is never a key, the ids are those of normalizing every item.
+        itself and keeps that key's id. So the ids are first looked up in one
+        pass, and when every raw item is a key they are final. On the first
+        raw item that is not a key (a ``KeyError``), the row is read again:
+        only the raw items that are not keys are normalized, and new items
+        are interned in input order; since ``""`` is never a key, the ids are
+        those of normalizing every item.
         """
         known = self._ids
         if not isinstance(raw_items, list):
             raw_items = list(raw_items)
-        ids = set(map(known.get, raw_items))
-        if None in ids:
+        try:
+            ids = set(map(known.__getitem__, raw_items))
+        except KeyError:
             ids = {
                 known[r] if r in known else known.setdefault(n, len(known))
                 for r in raw_items
@@ -171,7 +175,14 @@ class DatabaseBuilder:
         return True
 
     def build(self) -> TransactionDatabase:
-        return TransactionDatabase(tuple(self._ids), tuple(self._rows), tuple(self._labels))
+        """The database of the rows added so far, built without the
+        constructor's row check: each row is the sorted set of ids that
+        ``add`` handed out, so it is strictly increasing and inside
+        ``0..m-1``, and each row has its label."""
+        db = object.__new__(TransactionDatabase)
+        vars(db).update(strings=tuple(self._ids), rows=tuple(self._rows),
+                        labels=tuple(self._labels))
+        return db
 
 
 def database_from_items(item_lists: Iterable[Iterable[str]]) -> TransactionDatabase:

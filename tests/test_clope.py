@@ -347,6 +347,21 @@ class TestKernelParity:
             for max_passes in (1, 20):
                 _assert_matches_reference(db, r, max_passes)
 
+    @pytest.mark.parametrize("r, overflows_from", [(300.0, 11), (300, 40), (1.5, 40)])
+    def test_gain_past_the_power_table_equals_gain(self, r, overflows_from):
+        # With m=5 the table holds widths 0-5. At r=300.0 widths 6-10 still
+        # have a finite power and widths from 11 on overflow; each width's
+        # power or r * log(w) is computed once, by its first score.
+        placer = _Placer(5, r)
+        assert len(placer.pw) == 6
+        for width in range(6, 40):
+            for occurrences, members in ((1, 1), (width, 1), (7 * width, 3), (10**6, 997)):
+                gain = placer._gain_past(occurrences, width, members)
+                assert gain.hex() == _gain(occurrences, width, members, r).hex()
+        assert sorted(placer.past) == list(range(6, 40))
+        overflowed = {w for w, (power, _) in placer.past.items() if power is None}
+        assert overflowed == set(range(overflows_from, 40))
+
     @pytest.mark.parametrize("r", [300.0, 300])
     def test_disjoint_columns_equal_delta_add(self, r):
         # disjoint[(s, q)][cid] is the delta of a size-s transaction with q

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import hashlib
 import io
+import json
 import pickle
 import random
 import re
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from txcleanse import (
     ParseError,
     QueryLogRecord,
+    SyntheticSpec,
+    generate_synthetic,
     iter_query_log,
     parse_keyword_registration,
     parse_transactions,
@@ -625,12 +629,15 @@ def _line_files(draw, headers=st.none()):
 
 def _outcome(parse, lines):
     """What parsing ``lines`` gives: the result or the ParseError message,
-    and the warnings. Any other exception escapes."""
+    and the warnings. Any other exception escapes. A database must pass the
+    constructor's check, which the parsers' builder skips."""
     warnings = []
     try:
         result = parse(lines, on_warning=warnings.append)
     except ParseError as exc:
         result = f"ParseError: {exc}"
+    if isinstance(result, TransactionDatabase):
+        assert TransactionDatabase(result.strings, result.rows, result.labels) == result
     return result, warnings
 
 
@@ -652,6 +659,15 @@ class TestBoundaries:
         _assert_line_ends_do_not_matter(_listed_query_log, outcome, mixed)
 
     @given(_line_files())
+    def test_generic_file_is_parsed_or_refused(self, files):
+        lf, mixed = files
+        outcome = _outcome(parse_transactions, io.BytesIO(lf))
+        db, _ = outcome
+        if not isinstance(db, str):
+            assert all(db.rows)
+        _assert_line_ends_do_not_matter(parse_transactions, outcome, mixed)
+
+    @given(_line_files())
     def test_keyword_dump_is_parsed_or_refused(self, files):
         lf, mixed = files
         outcome = _outcome(parse_keyword_registration, io.BytesIO(lf))
@@ -659,3 +675,50 @@ class TestBoundaries:
         if not isinstance(db, str):
             assert all(t.items and t.label for t in db)
         _assert_line_ends_do_not_matter(parse_keyword_registration, outcome, mixed)
+
+
+# The benchmark's cleanse-50k input shape at 20,000 transactions.
+CLEANSE_50K_SHAPE = dict(transactions=20000, clusters=500, items_per_cluster=20,
+                         picks_per_transaction=10, noise_items_per_hit=1, noise_rate=0.086,
+                         ubiquitous_items=3, ubiquity=0.9, seed=1)
+
+
+def _respelled_lines(db: TransactionDatabase, rng: random.Random) -> list[str]:
+    """``db``'s lines with seeded raw variants: respelled items (case,
+    padding, inner whitespace), items repeated within a line, and blank,
+    comment and all-blank lines between them."""
+    spellings = (str.upper, str.title, lambda w: f"  {w} ",
+                 lambda w: w.replace("_", " \u3000 "), lambda w: w.replace("_", "  ").upper())
+    lines = []
+    for line in serialize_transactions(db):
+        roll = rng.random()
+        if roll < 0.02:
+            lines.append("")
+        elif roll < 0.03:
+            lines.append(f"# comment {len(lines)}")
+        elif roll < 0.035:
+            lines.append(" \t  \t")
+        items = line.split("\t")
+        if rng.random() < 0.15:
+            i = rng.randrange(len(items))
+            items[i] = rng.choice(spellings)(items[i])
+        if rng.random() < 0.05:
+            items.insert(rng.randrange(len(items) + 1), rng.choice(items))
+        lines.append("\t".join(items))
+    return lines
+
+
+@pytest.mark.slow
+def test_cleanse_50k_shape_parse_digest():
+    # A file of the cleanse-50k shape with respelled items, repeats, blank,
+    # comment and all-blank lines, so that rows of known items and rows
+    # that need normalizing both occur. The digest of (strings, rows,
+    # labels) was taken before the builder looked known items up in one
+    # pass and before it built its database without the constructor's check.
+    db, _ = generate_synthetic(SyntheticSpec(**CLEANSE_50K_SHAPE))
+    lines = _respelled_lines(db, random.Random(31))
+    warnings = []
+    parsed = parse_transactions(io.BytesIO("\n".join(lines).encode()), on_warning=warnings.append)
+    assert (parsed.n, parsed.m, len(warnings)) == (20000, 12662, 88)
+    digest = hashlib.sha256(json.dumps([parsed.strings, parsed.rows, parsed.labels]).encode())
+    assert digest.hexdigest() == "e7534218293c2283bc7e7bca220accf84c107e9c6c6cdab7c5671e7ff545031b"
