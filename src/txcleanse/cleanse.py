@@ -94,9 +94,13 @@ def fit_lognormal(hist: Marginal) -> tuple[float, float]:
     """Population mean and standard deviation of ln(frequency) over items.
 
     Accepts a histogram or raw (frequency, count) pairs; a frequency carried
-    by k items contributes k terms to both moments.
+    by k items contributes k terms to both moments. One frequency f alone
+    fits exactly (ln f, 0.0), which the rounded sums can miss.
     """
     pairs, n = _pairs(hist)
+    logs = {math.log(f) for f, k in pairs if k}
+    if len(logs) == 1:
+        return logs.pop(), 0.0
     mu = _ordered_sum(k * math.log(f) for f, k in pairs) / n
     var = _ordered_sum(k * (math.log(f) - mu) ** 2 for f, k in pairs) / n
     return mu, math.sqrt(var)

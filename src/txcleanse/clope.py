@@ -699,10 +699,13 @@ def brute_force_best(
 ) -> tuple[list[list[int]], float]:
     """Globally optimal partition by exhaustive enumeration (test oracle).
 
-    Refuses databases beyond ``max_transactions`` (Bell-number growth). Ties
+    Refuses a repulsion as ``clope_cluster`` does, a non-int
+    ``max_transactions`` and databases beyond it (Bell-number growth). Ties
     resolve to the lexicographically smallest restricted-growth encoding.
     Returns (clusters as tid lists ordered by smallest member, profit).
     """
+    check_repulsion(repulsion)
+    check_int("max_transactions", max_transactions)
     if db.n == 0:
         raise ValueError("cannot partition an empty database")
     if db.n > max_transactions:

@@ -131,43 +131,38 @@ class TransactionDatabase:
         return sum(map(len, self.rows))
 
 
+class _Interner(dict):
+    """Normalized item string -> id, in first-seen order. Looking up a raw
+    item that is no key normalizes it and returns its normalized form's id,
+    interned if new, or -1 for the empty form. A raw item that is a key is
+    its own normalized form (``normalize_item`` is idempotent) and its id."""
+
+    def __missing__(self, raw: str) -> ItemId:
+        if not isinstance(raw, str):
+            raise ParseError(f"items must be str, got {type(raw).__name__} {raw!r}")
+        return self.setdefault(item, len(self)) if (item := normalize_item(raw)) else -1
+
+
 class DatabaseBuilder:
     """Single-writer accumulator for a TransactionDatabase.
 
     Items are normalized, deduplicated within a transaction (first occurrence
     wins for id assignment) and interned in input order, which keeps the
-    serialize/re-ingest round trip exact.
+    serialize/re-ingest round trip exact. Each raw item is looked up once;
+    only one that is not a normalized string already held is normalized.
     """
 
     def __init__(self) -> None:
-        self._ids: dict[str, ItemId] = {}
+        self._ids = _Interner()
         self._rows: list[tuple[ItemId, ...]] = []
         self._labels: list[str | None] = []
 
     def add(self, raw_items: Iterable[str], label: str | None = None) -> bool:
         """Append one transaction. Returns False (and adds nothing) when every
-        item normalizes to the empty string.
-
-        The dictionary's keys are normalized strings, and ``normalize_item``
-        is idempotent, so a raw item that already is a key normalizes to
-        itself and keeps that key's id. So the ids are first looked up in one
-        pass, and when every raw item is a key they are final. On the first
-        raw item that is not a key (a ``KeyError``), the row is read again:
-        only the raw items that are not keys are normalized, and new items
-        are interned in input order; since ``""`` is never a key, the ids are
-        those of normalizing every item.
-        """
-        known = self._ids
-        if not isinstance(raw_items, list):
-            raw_items = list(raw_items)
-        try:
-            ids = set(map(known.__getitem__, raw_items))
-        except KeyError:
-            ids = {
-                known[r] if r in known else known.setdefault(n, len(known))
-                for r in raw_items
-                if r in known or (n := normalize_item(r))
-            }
+        item normalizes to the empty string; raises ``ParseError`` for an
+        item that is not a str."""
+        ids = set(map(self._ids.__getitem__, raw_items))
+        ids.discard(-1)
         if not ids:
             return False
         self._rows.append(tuple(sorted(ids)))

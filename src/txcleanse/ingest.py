@@ -38,7 +38,11 @@ def _decoded_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
     from iterating a file, unless it holds a bare ``\r``, which ends a line
     too (Python's universal newlines). Line numbers count every line end.
     One byte-order mark (U+FEFF) opening line 1 is dropped; any other stays.
+    A bare ``str`` or ``bytes`` passed as ``lines`` is refused with
+    ``ParseError``: iterating it would yield characters or ints, not lines.
     """
+    if isinstance(lines, (str, bytes)):
+        raise ParseError(f"lines must be an iterable of lines, got a {type(lines).__name__}")
     lineno = 0
     for line in lines:
         if isinstance(line, bytes):
@@ -112,22 +116,19 @@ def serialize_transactions(db: TransactionDatabase, delimiter: str = "\t",
                            strings: Sequence[str | None] | None = None) -> Iterator[str]:
     """Yield one line per transaction (no trailing newline), items in id order.
 
-    ``strings``, an m-entry table, replaces ``db.strings``; its
+    ``strings``, an m-entry table, defaults to ``db.strings``; its empty and
     None entries are left out, and so is a line left with no item. The lines
     re-read (``parse_transactions(lines, d)``) as ``db``, labels aside, when
     its ids are first-seen and its strings normalized, as every parser builds
     them, every written ``s`` has ``(s + d).find(d) == len(s)``, and no line
     starts with ``#``, nor line 1 with U+FEFF. ``write_transactions`` refuses
-    to write any other lines. A normalized string is never empty, and no
-    builder or ``remap`` makes one, so ``db.strings`` is written unfiltered.
-    A bad delimiter (see ``check_delimiter``) raises ``ParseError`` before the
-    first line is yielded.
+    to write any other lines. A bad delimiter (see ``check_delimiter``)
+    raises ``ParseError`` before the first line is yielded.
     """
     check_delimiter(delimiter)
     item = (db.strings if strings is None else strings).__getitem__
     for row in db.rows:
-        items = map(item, row)
-        if line := delimiter.join(items if strings is None else filter(None, items)):
+        if line := delimiter.join(filter(None, map(item, row))):
             yield line
 
 
@@ -138,7 +139,7 @@ def write_transactions(db: TransactionDatabase, path, delimiter: str = "\t",
     for a bad delimiter (see ``check_delimiter``) or, naming the item, if
     the lines would not re-read as written."""
     check_delimiter(delimiter)
-    written = [s for s in (db.strings if strings is None else strings) if s]
+    written = list(filter(None, db.strings if strings is None else strings))
     for s in written:
         if (s + delimiter).find(delimiter) != len(s):
             raise ParseError(f"item {s!r} contains the delimiter {delimiter!r}")

@@ -82,6 +82,14 @@ class TestFitLognormal:
         with pytest.raises(ValueError, match="no items"):
             fit_lognormal([])
 
+    def test_one_frequency_fit_is_exact(self):
+        # summing k copies of ln f and dividing by k can miss ln f by an
+        # ulp, as at f=5, k=13, which would report the residue as sigma
+        for f in range(2, 200):
+            for k in range(1, 40):
+                assert fit_lognormal([(f, k)]) == (math.log(f), 0.0)
+        assert fit_lognormal([(5, 13), (7, 0)]) == (math.log(5), 0.0)
+
 
 class TestFitExponential:
     def test_hand_case(self):
@@ -322,6 +330,7 @@ def test_band_membership_matches_moments(seed, kind, s):
 class TestLogLikelihood:
     def test_degenerate_lognormal_is_none(self):
         assert log_likelihood([(3, 5)], "lognormal") is None
+        assert log_likelihood([(5, 13)], "lognormal") is None
 
     def test_exponential_hand_value(self):
         # frequencies {1, 1}: mean 1, rate 1 -> loglik = 2 * (ln 1 - 1) = -2

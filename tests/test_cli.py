@@ -138,6 +138,16 @@ class TestCleanseCommand:
         assert "cleansing removed every transaction" in capsys.readouterr().err
         assert not (out / "cleansed.tsv").exists()
 
+    def test_one_frequency_lognormal_band_keeps_every_item(self, tmp_path):
+        # every item has frequency 5: sigma is exactly 0, so the band is
+        # the point ln 5, which holds every item at any s
+        line = "\t".join(f"i{j}" for j in range(13)) + "\n"
+        path = tmp_path / "db.tsv"
+        path.write_text(line * 5)
+        out = tmp_path / "out"
+        assert main(["cleanse", str(path), "--s", "0.5", "--out-dir", str(out)]) == 0
+        assert (out / "cleansed.tsv").read_text() == line * 5
+
     def test_empty_input(self, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")

@@ -1057,6 +1057,16 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="refus"):
             brute_force_best(db, 1.5)
 
+    @pytest.mark.parametrize("r", [math.nan, -1.0, 0, math.inf, True, "1.5"])
+    def test_bad_repulsion_refused(self, r):
+        with pytest.raises(ValueError, match="repulsion"):
+            brute_force_best(letters_db("ab", "bc"), r)
+
+    @pytest.mark.parametrize("limit", [2.5, True, "10"])
+    def test_non_int_max_transactions_refused(self, limit):
+        with pytest.raises(ValueError, match="max_transactions"):
+            brute_force_best(letters_db("ab", "bc"), 1.5, limit)
+
     def test_clope_never_beats_the_oracle(self):
         rng = random.Random(41)
         for _ in range(40):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from txcleanse import (
     DatabaseBuilder,
     ManualBand,
+    ParseError,
     Transaction,
     TransactionDatabase,
     cleanse,
@@ -183,6 +184,11 @@ class TestDatabaseBuilder:
         assert db.strings == ("b", "a")
         assert db.transactions[0].items == (0, 1)
 
+    @pytest.mark.parametrize("item", [None, b"a", 1], ids=["None", "bytes", "int"])
+    def test_item_that_is_not_a_str_is_refused_by_type(self, item):
+        with pytest.raises(ParseError, match=f"items must be str, got {type(item).__name__}"):
+            database_from_items([["a", item]])
+
     def test_all_empty_transaction_not_added(self):
         b = DatabaseBuilder()
         assert b.add(["  ", ""]) is False
@@ -222,16 +228,23 @@ def test_occurrence_conservation(item_lists):
     assert sum(count for _, count in hist.marginal) == db.m
 
 
-def set_comprehension_database(item_lists) -> TransactionDatabase:
-    """The builder before its known-item fast path: every raw item is
-    normalized, then interned in input order."""
-    known: dict[str, int] = {}
+def interned_by_model(item_lists) -> TransactionDatabase:
+    """The builder's contract as a plain loop: normalize every raw item,
+    drop the empty ones, give each new string the next id in first-seen
+    order, and keep each row that holds an item as its sorted set of ids."""
+    strings: list[str] = []
     rows = []
     for raw_items in item_lists:
-        ids = {known.setdefault(n, len(known)) for r in raw_items if (n := normalize_item(r))}
+        ids = set()
+        for raw in raw_items:
+            item = normalize_item(raw)
+            if item:
+                if item not in strings:
+                    strings.append(item)
+                ids.add(strings.index(item))
         if ids:
             rows.append(tuple(sorted(ids)))
-    return TransactionDatabase(tuple(known), tuple(rows), (None,) * len(rows))
+    return TransactionDatabase(tuple(strings), tuple(rows), (None,) * len(rows))
 
 
 # Normalized strings, their case and whitespace respellings, and items that
@@ -248,15 +261,15 @@ _SPELLINGS = (
 )
 _spelled_item = st.builds(lambda w, spell: spell(w), st.sampled_from(_WORDS),
                           st.sampled_from(_SPELLINGS))
+# a row and, appended, some of its own items again: repeats within a row
+_row_with_repeats = st.lists(_spelled_item | st.text(max_size=3), max_size=6).flatmap(
+    lambda row: st.lists(st.sampled_from(row), max_size=3).map(row.__add__) if row
+    else st.just(row))
 
 
-@given(st.lists(st.lists(_spelled_item | st.text(max_size=3), max_size=6), max_size=12))
-def test_builder_matches_set_comprehension_oracle(item_lists):
-    db = database_from_items(item_lists)
-    expected = set_comprehension_database(item_lists)
-    assert db.strings == expected.strings
-    assert [t.items for t in db] == [t.items for t in expected]
-    assert db == expected
+@given(st.lists(_row_with_repeats, max_size=12))
+def test_builder_matches_plain_interning_model(item_lists):
+    assert database_from_items(item_lists) == interned_by_model(item_lists)
 
 
 def assert_equal_to_checked_rebuild(db: TransactionDatabase) -> None:

@@ -38,6 +38,16 @@ def _listed_query_log(lines, on_warning=None):
     return list(iter_query_log(lines, on_warning))
 
 
+@pytest.mark.parametrize("parse", [parse_transactions, _listed_query_log,
+                                   parse_keyword_registration])
+@pytest.mark.parametrize("text", ["apple\tpear\nfig\n", b"apple\tpear\nfig\n"],
+                         ids=["str", "bytes"])
+def test_one_string_passed_as_lines_is_refused(parse, text):
+    # iterating a str yields one-letter lines, iterating bytes yields ints
+    with pytest.raises(ParseError, match=f"got a {type(text).__name__}$"):
+        parse(text)
+
+
 class TestParseTransactions:
     def test_figure_line(self):
         db = parse_transactions(["amusement park\tcherry blossom\tdisneyland"])
